@@ -1,185 +1,22 @@
 // Experiment E8: convergence behaviour of the holistic fixed point
-// ("Putting it all together"): sweeps to convergence vs. utilization, and
-// the Gauss-Seidel vs. Jacobi (parallel) ablation.
+// ("Putting it all together"): Gauss-Seidel sweeps to convergence and wall
+// time vs. utilization on the Figure-1 topology.
 //
-// Plus the solver-strategy section: plain Gauss-Seidel vs safeguarded
-// Anderson(m) on a near-critical interference ring (two equal-priority
-// flows crossing two shared links in opposite route order — the jitter
-// feedback cycle whose lap gain approaches 1 as the frame separation drops
-// toward saturation, turning the plain climb into a slow geometric
-// ratchet).  Emits BENCH_holistic_convergence.json with the sweep-count
-// and wall-clock ratios; check_bench_regression.py gates the headline row
-// (Anderson must cut sweeps by >= 30% without costing wall time).  The
-// bench fails itself on any violation of the solver contract: accelerated
-// verdicts must match plain, and the accelerated fixed point must sit
-// at-or-above the plain least fixed point slot for slot (conservative) —
-// see core::SolverOptions for why cyclic opt-in trades exact identity for
-// a certified upper bound.
+//   $ ./bench_holistic_convergence [trials]
 #include <chrono>
 #include <cstdio>
-#include <string>
+#include <cstdlib>
 #include <vector>
 
 #include "core/holistic.hpp"
 #include "core/priority.hpp"
 #include "net/topology.hpp"
-#include "util/bench_json.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/taskset_gen.hpp"
 
 using namespace gmfnet;
-
-namespace {
-
-double wall_ms(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-struct Ring {
-  net::Network net;
-  std::vector<gmf::Flow> flows;
-};
-
-// Same construction as tests/test_solver_equivalence.cpp: a 6-switch ring,
-// flows A and B share X->Y and Z->W in opposite route order at equal
-// priority, closing the dependency cycle R_A@XY <- J_B@XY <- R_B@ZW <-
-// J_A@ZW <- R_A@XY.  `separation_us` tunes the cycle's lap gain: 202us is
-// just above the divergence threshold (~190us) on 100 Mbps links.
-Ring make_near_critical_ring(std::int64_t separation_us) {
-  Ring r;
-  net::Network& netw = r.net;
-  const auto X = netw.add_switch("X"), Y = netw.add_switch("Y");
-  const auto M = netw.add_switch("M"), Z = netw.add_switch("Z");
-  const auto W = netw.add_switch("W"), N = netw.add_switch("N");
-  const auto hA = netw.add_endhost("hA"), hA2 = netw.add_endhost("hA2");
-  const auto hB = netw.add_endhost("hB"), hB2 = netw.add_endhost("hB2");
-  const ethernet::LinkSpeedBps sp = 100'000'000;
-  netw.add_duplex_link(X, Y, sp);
-  netw.add_duplex_link(Y, M, sp);
-  netw.add_duplex_link(M, Z, sp);
-  netw.add_duplex_link(Z, W, sp);
-  netw.add_duplex_link(W, N, sp);
-  netw.add_duplex_link(N, X, sp);
-  netw.add_duplex_link(hA, X, sp);
-  netw.add_duplex_link(W, hA2, sp);
-  netw.add_duplex_link(hB, Z, sp);
-  netw.add_duplex_link(Y, hB2, sp);
-  netw.validate();
-  gmf::FrameSpec fs;
-  fs.min_separation = Time::us(separation_us);
-  fs.deadline = Time::ms(500);
-  fs.jitter = Time::ms(2);
-  fs.payload_bits = 1000 * 8;
-  r.flows.emplace_back("A", net::Route({hA, X, Y, M, Z, W, hA2}),
-                       std::vector<gmf::FrameSpec>{fs}, 3);
-  r.flows.emplace_back("B", net::Route({hB, Z, W, N, X, Y, hB2}),
-                       std::vector<gmf::FrameSpec>{fs}, 3);
-  return r;
-}
-
-// Slotwise `acc >= plain` over every (flow, stage, frame) jitter — the
-// conservative half of the cyclic-opt-in contract.
-bool conservative(const core::AnalysisContext& ctx,
-                  const core::HolisticResult& acc,
-                  const core::HolisticResult& plain) {
-  for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
-    const core::FlowId id(static_cast<std::int32_t>(f));
-    for (const core::StageKey& st : ctx.stages(id)) {
-      for (std::size_t k = 0; k < ctx.flow(id).frame_count(); ++k) {
-        if (acc.jitters.jitter(id, st, k) < plain.jitters.jitter(id, st, k)) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-int run_near_critical_section(BenchJsonWriter& json) {
-  std::printf("\n=== Solver strategies on the near-critical ring "
-              "(plain GS vs safeguarded Anderson, accept_cyclic) ===\n\n");
-  Table t("Near-saturation ratchet: sweeps and wall time");
-  t.set_columns({"separation", "m", "plain sweeps", "acc sweeps",
-                 "sweep ratio", "plain ms", "acc ms", "wall ratio",
-                 "accepted", "conservative"});
-
-  int failures = 0;
-  for (const std::int64_t sep_us : {205, 202, 200}) {
-    const Ring r = make_near_critical_ring(sep_us);
-    const core::AnalysisContext ctx(r.net, r.flows);
-    core::HolisticOptions plain;
-    plain.max_sweeps = 512;
-
-    core::HolisticResult rp;
-    double plain_ms = 1e100;
-    for (int rep = 0; rep < 5; ++rep) {
-      plain_ms = std::min(
-          plain_ms, wall_ms([&] { rp = core::analyze_holistic(ctx, plain); }));
-    }
-    if (!rp.converged) {
-      std::printf("plain solve did not converge at %lldus — bench bug\n",
-                  static_cast<long long>(sep_us));
-      return 1;
-    }
-
-    for (const int m : {1, 2}) {
-      core::HolisticOptions acc = plain;
-      acc.solver.mode = core::SolverMode::kAnderson;
-      acc.solver.m = m;
-      acc.solver.accept_cyclic = true;
-      core::HolisticResult ra;
-      core::IncrementalStats is;
-      double acc_ms = 1e100;
-      for (int rep = 0; rep < 5; ++rep) {
-        is = {};
-        acc_ms = std::min(acc_ms, wall_ms([&] {
-          ra = core::solve_holistic(ctx, core::SolveRequest{}, acc, &is);
-        }));
-      }
-      const bool cons = ra.converged && conservative(ctx, ra, rp);
-      const bool verdicts = ra.converged == rp.converged &&
-                            ra.schedulable == rp.schedulable;
-      if (!cons || !verdicts) ++failures;
-
-      const double sweep_ratio =
-          static_cast<double>(rp.sweeps) / static_cast<double>(ra.sweeps);
-      const double wall_ratio = plain_ms / acc_ms;
-      t.add_row({Table::num(sep_us) + "us", Table::num(m),
-                 Table::num(rp.sweeps), Table::num(ra.sweeps),
-                 Table::fixed(sweep_ratio, 2), Table::fixed(plain_ms, 2),
-                 Table::fixed(acc_ms, 2), Table::fixed(wall_ratio, 2),
-                 Table::num(static_cast<std::int64_t>(is.accel_accepted)),
-                 cons && verdicts ? "yes" : "NO"});
-      json.begin_row();
-      json.add("section", std::string("near_critical_ring"));
-      json.add("separation_us", static_cast<std::int64_t>(sep_us));
-      json.add("m", m);
-      json.add("plain_sweeps", rp.sweeps);
-      json.add("acc_sweeps", ra.sweeps);
-      json.add("sweep_ratio", sweep_ratio);
-      json.add("wall_ratio", wall_ratio);
-      json.add("accel_accepted",
-               static_cast<std::int64_t>(is.accel_accepted));
-      json.add("accel_rejected",
-               static_cast<std::int64_t>(is.accel_rejected));
-      json.add("conservative", cons);
-      json.add("verdicts_agree", verdicts);
-    }
-  }
-  t.print();
-  if (failures) {
-    std::printf("\n%d row(s) violated the solver contract (conservative "
-                "fixed point + matching verdicts) — bug.\n", failures);
-  }
-  return failures ? 1 : 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const int trials = argc > 1 ? std::atoi(argv[1]) : 20;
@@ -192,18 +29,14 @@ int main(int argc, char** argv) {
                                           fig.host3};
 
   Table t("Sweeps to convergence and wall time");
-  t.set_columns({"utilization", "converged", "GS sweeps (mean/max)",
-                 "Jacobi sweeps (mean/max)", "GS ms", "Jacobi ms",
-                 "fixed points agree"});
-  CsvWriter csv({"utilization", "converged_frac", "gs_sweeps_mean",
-                 "gs_sweeps_max", "jc_sweeps_mean", "jc_sweeps_max",
-                 "gs_ms", "jc_ms", "agree"});
+  t.set_columns({"utilization", "converged", "sweeps (mean/max)", "ms"});
+  CsvWriter csv({"utilization", "converged_frac", "sweeps_mean",
+                 "sweeps_max", "ms"});
 
   for (const double util : {0.1, 0.3, 0.5, 0.7, 0.85}) {
-    OnlineStats gs_sweeps, jc_sweeps;
-    double gs_ms = 0, jc_ms = 0;
+    OnlineStats sweeps;
+    double ms = 0;
     int converged = 0, total = 0;
-    bool agree = true;
     for (int trial = 0; trial < trials; ++trial) {
       Rng rng(0xc0ffee + static_cast<std::uint64_t>(trial) * 31 +
               static_cast<std::uint64_t>(util * 1000));
@@ -216,60 +49,33 @@ int main(int argc, char** argv) {
       if (!ts) continue;
       core::assign_priorities(ts->flows,
                               core::PriorityScheme::kDeadlineMonotonic);
-      core::AnalysisContext ctx(fig.net, ts->flows);
+      const core::AnalysisContext ctx(fig.net, ts->flows);
       ++total;
 
-      core::HolisticOptions gs;
-      core::HolisticOptions jc;
-      jc.order = core::SweepOrder::kJacobi;
-      core::HolisticResult rg, rj;
-      gs_ms += wall_ms([&] { rg = core::analyze_holistic(ctx, gs); });
-      jc_ms += wall_ms([&] { rj = core::analyze_holistic(ctx, jc); });
-      if (rg.converged) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const core::HolisticResult r = core::analyze_holistic(ctx);
+      const auto t1 = std::chrono::steady_clock::now();
+      ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
+      if (r.converged) {
         ++converged;
-        gs_sweeps.add(rg.sweeps);
-        if (rj.converged) {
-          jc_sweeps.add(rj.sweeps);
-          agree &= rg.jitters == rj.jitters;
-        }
+        sweeps.add(r.sweeps);
       }
     }
-    t.add_row({Table::fixed(util, 2),
-               Table::fixed(total ? static_cast<double>(converged) / total
-                                  : 0.0,
-                            2),
-               Table::fixed(gs_sweeps.mean(), 1) + " / " +
-                   Table::num(gs_sweeps.max()),
-               Table::fixed(jc_sweeps.mean(), 1) + " / " +
-                   Table::num(jc_sweeps.max()),
-               Table::fixed(gs_ms, 1), Table::fixed(jc_ms, 1),
-               agree ? "yes" : "NO"});
+    const double frac =
+        total ? static_cast<double>(converged) / total : 0.0;
+    t.add_row({Table::fixed(util, 2), Table::fixed(frac, 2),
+               Table::fixed(sweeps.mean(), 1) + " / " +
+                   Table::num(sweeps.max()),
+               Table::fixed(ms, 1)});
     csv.begin_row();
     csv.add(util);
-    csv.add(total ? static_cast<double>(converged) / total : 0.0);
-    csv.add(gs_sweeps.mean());
-    csv.add(gs_sweeps.max());
-    csv.add(jc_sweeps.mean());
-    csv.add(jc_sweeps.max());
-    csv.add(gs_ms);
-    csv.add(jc_ms);
-    csv.add(agree ? "1" : "0");
-    if (!agree) {
-      t.print();
-      std::printf("Gauss-Seidel and Jacobi disagreed — bug.\n");
-      return 1;
-    }
+    csv.add(frac);
+    csv.add(sweeps.mean());
+    csv.add(sweeps.max());
+    csv.add(ms);
   }
   t.print();
   csv.save("bench_holistic_convergence.csv");
   std::printf("\nCSV written to bench_holistic_convergence.csv\n");
-
-  BenchJsonWriter json("holistic_convergence");
-  const int rc = run_near_critical_section(json);
-  if (!json.save()) {
-    std::printf("cannot write %s\n", json.path().c_str());
-    return 1;
-  }
-  std::printf("\nJSON written to %s\n", json.path().c_str());
-  return rc;
+  return 0;
 }

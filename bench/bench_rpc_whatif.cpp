@@ -6,16 +6,19 @@
 // locality domains — probe cost is dominated by one domain's solve, so
 // the wire overhead is visible, not drowned).  Three sections:
 //
-//   in_process       snap->what_if(c) in a loop          (the PR 3 path)
-//   loopback_single  client.what_if(c) — one frame round trip per probe
-//   loopback_batch16 client.what_if_batch(16) — amortized framing, probes
-//                    fanned over the daemon's reader pool
+//   in_process       snap->what_if(c) in a loop
+//   loopback_single  client.what_if(c) — one frame round trip per probe;
+//                    the daemon's epoll reactor probes a one-candidate
+//                    batch inline on its own thread
+//   loopback_batch16 client.what_if_batch(16) — amortized framing, the
+//                    reactor fans the candidates over its reader pool
 //   loopback_batch16_stalled
 //                    the same batches while a slow-loris peer sits on
-//                    another connection stalled mid-frame — the daemon's
-//                    deadline I/O must isolate it (thread-per-connection +
-//                    io timeout), so healthy-connection qps must stay
-//                    within 10% of the no-stall section
+//                    another connection stalled mid-frame — the reactor
+//                    only ever does non-blocking reads and expires the
+//                    stalled frame on its io-timeout timer wheel, so
+//                    healthy-connection qps must stay within 10% of the
+//                    no-stall section
 //
 //   $ ./bench_rpc_whatif [ms_per_point]
 //

@@ -103,9 +103,8 @@ int main(int argc, char** argv) {
   const core::HolisticResult& engine_result = eng.evaluate();
 
   const core::AnalysisContext slack_ctx(scenario.network, scenario.flows);
-  core::HolisticOptions slack_opts;
-  slack_opts.warm_start = core::WarmStartView(engine_result.jitters);
-  const auto slack = core::compute_slack(slack_ctx, slack_opts);
+  const auto slack = core::compute_slack(
+      slack_ctx, {}, core::WarmStartView(engine_result.jitters));
   if (!slack) {
     std::printf("analysis diverged: the configuration is overloaded\n");
     return 1;

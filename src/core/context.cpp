@@ -79,10 +79,6 @@ void JitterMap::set_jitter(FlowId flow, const StageKey& stage,
   }
 }
 
-void JitterMap::adopt_flow(const JitterMap& other, FlowId flow) {
-  adopt_flow(other, flow, flow);
-}
-
 void JitterMap::adopt_flow(const JitterMap& other, FlowId from, FlowId to) {
   const auto src = static_cast<std::size_t>(from.v);
   const auto dst = static_cast<std::size_t>(to.v);

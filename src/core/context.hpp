@@ -74,9 +74,9 @@ class AnalysisContext;
 /// holistic initial assumption for non-source stages).
 ///
 /// Per-flow stage maps are copy-on-write: copying a JitterMap shares them,
-/// and a write clones only the written flow's map.  Snapshots (Jacobi
-/// sweeps, the engine's convergence checks and warm starts) therefore cost
-/// one pointer per untouched flow.  Equality compares values, not sharing.
+/// and a write clones only the written flow's map.  Snapshots (the engine's
+/// convergence checks, warm starts and published worlds) therefore cost one
+/// pointer per untouched flow.  Equality compares values, not sharing.
 class JitterMap {
  public:
   JitterMap() = default;
@@ -96,14 +96,10 @@ class JitterMap {
   void set_jitter(FlowId flow, const StageKey& stage, std::size_t frame,
                   gmfnet::Time value);
 
-  /// Replaces this map's entries for `flow` with those of `other` (used by
-  /// the Jacobi sweep to merge per-flow results computed against a frozen
-  /// snapshot).
-  void adopt_flow(const JitterMap& other, FlowId flow);
-
-  /// Cross-id adoption: replaces this map's entries for `to` with `other`'s
-  /// entries for `from`.  Used by the incremental engine to carry a flow's
-  /// converged jitters across flow-id shifts caused by removals.
+  /// Replaces this map's entries for `to` with `other`'s entries for
+  /// `from`.  Used by the incremental engine to carry a flow's converged
+  /// jitters across flow-id shifts caused by removals, and by the sweep's
+  /// per-flow convergence snapshot (`from == to`).
   void adopt_flow(const JitterMap& other, FlowId from, FlowId to);
 
   /// Drops `flow`'s entries and shifts every higher flow id down by one —
@@ -189,7 +185,7 @@ class JitterMap {
 /// The analysis world.  Flow addition validates the flow and eagerly
 /// precomputes, for every link of its route, the FlowLinkParams and
 /// DemandCurve — so all analysis-time queries are read-only and safe to
-/// issue from parallel (Jacobi) sweeps.  Per-link aggregates (utilization
+/// issue from concurrent probes.  Per-link aggregates (utilization
 /// sums) are maintained incrementally: an add/remove touches only the links
 /// of the affected flow's route.
 class AnalysisContext {

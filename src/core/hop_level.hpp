@@ -23,8 +23,8 @@
 // the per-frame writes to its own jitters never invalidate the cache.
 //
 // Everything here is per-thread (HopScratch::local()): no locks, no
-// allocation on the steady-state path, safe under Jacobi sweeps and the
-// engine's batched what-if pools.
+// allocation on the steady-state path, safe under the engine's shard
+// fan-out and batched what-if pools.
 #pragma once
 
 #include <cstdint>

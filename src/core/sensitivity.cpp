@@ -8,8 +8,9 @@
 namespace gmfnet::core {
 
 std::optional<std::vector<FlowSlack>> compute_slack(
-    const AnalysisContext& ctx, const HolisticOptions& opts) {
-  const HolisticResult res = analyze_holistic(ctx, opts);
+    const AnalysisContext& ctx, const HolisticOptions& opts,
+    WarmStartView start) {
+  const HolisticResult res = analyze_holistic(ctx, opts, start);
   if (!res.converged) return std::nullopt;
 
   std::vector<FlowSlack> out;

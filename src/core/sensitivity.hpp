@@ -30,9 +30,11 @@ struct FlowSlack {
 };
 
 /// Slack report for a schedulable flow set.  Returns std::nullopt when the
-/// holistic analysis does not converge.
+/// holistic analysis does not converge.  `start` optionally warm-starts the
+/// solve (see WarmStartView for the soundness contract).
 [[nodiscard]] std::optional<std::vector<FlowSlack>> compute_slack(
-    const AnalysisContext& ctx, const HolisticOptions& opts = {});
+    const AnalysisContext& ctx, const HolisticOptions& opts = {},
+    WarmStartView start = {});
 
 /// Result of the capacity-scaling search.
 struct ScalingResult {

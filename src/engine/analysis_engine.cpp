@@ -14,8 +14,7 @@ AnalysisEngine::AnalysisEngine(net::Network network, core::HolisticOptions opts,
           std::move(network))),
       opts_(opts),
       shard_by_domain_(shard_by_domain) {
-  opts_.warm_start = {};  // the engine owns warm starting
-  assemble_and_publish();           // publish the (empty) world
+  assemble_and_publish();  // publish the (empty) world
 }
 
 const gmf::Flow& AnalysisEngine::flow(std::size_t index) const {
@@ -34,10 +33,6 @@ EngineStats AnalysisEngine::stats() const {
   out.flow_results_reused =
       stats_.flow_results_reused.v.load(std::memory_order_relaxed);
   out.sweeps = stats_.sweeps.v.load(std::memory_order_relaxed);
-  out.accel_accepted =
-      stats_.accel_accepted.v.load(std::memory_order_relaxed);
-  out.accel_rejected =
-      stats_.accel_rejected.v.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -48,8 +43,6 @@ void AnalysisEngine::reset_stats() {
   stats_.flow_analyses.v.store(0, std::memory_order_relaxed);
   stats_.flow_results_reused.v.store(0, std::memory_order_relaxed);
   stats_.sweeps.v.store(0, std::memory_order_relaxed);
-  stats_.accel_accepted.v.store(0, std::memory_order_relaxed);
-  stats_.accel_rejected.v.store(0, std::memory_order_relaxed);
 }
 
 void AnalysisEngine::record_run(const RunStats& rs) {
@@ -65,10 +58,6 @@ void AnalysisEngine::record_run(const RunStats& rs) {
   stats_.flow_results_reused.v.fetch_add(rs.flow_results_reused,
                                          std::memory_order_relaxed);
   stats_.sweeps.v.fetch_add(rs.sweeps, std::memory_order_relaxed);
-  stats_.accel_accepted.v.fetch_add(rs.accel_accepted,
-                                    std::memory_order_relaxed);
-  stats_.accel_rejected.v.fetch_add(rs.accel_rejected,
-                                    std::memory_order_relaxed);
 }
 
 std::vector<std::uint32_t> AnalysisEngine::touched_shards(
@@ -402,15 +391,9 @@ bool AnalysisEngine::remove_flow(std::size_t index) {
   return true;
 }
 
-std::size_t AnalysisEngine::effective_threads() const {
-  return opts_.threads != 0
-             ? opts_.threads
-             : std::max(1u, std::thread::hardware_concurrency());
-}
-
 void AnalysisEngine::ensure_pool() {
   if (!pool_) {
-    pool_ = std::make_unique<ThreadPool>(opts_.threads);
+    pool_ = std::make_unique<ThreadPool>();
     // One probe workspace per parallel_for_slotted slot (workers + the
     // calling thread's inline slot).
     batch_scratch_ = std::vector<ProbeScratch>(pool_->size() + 1);
@@ -464,7 +447,7 @@ bool AnalysisEngine::solve_dirty() {
   if (dirty.empty()) return false;
 
   std::vector<RunStats> rs(dirty.size());
-  if (dirty.size() > 1 && effective_threads() > 1) {
+  if (dirty.size() > 1 && std::thread::hardware_concurrency() > 1) {
     // Independent domains: fan the dirty shards over the pool.  Shard runs
     // are Gauss-Seidel (no nested pools) and touch disjoint state.
     ensure_pool();
@@ -472,7 +455,7 @@ bool AnalysisEngine::solve_dirty() {
       rs[k] = shards_[dirty[k]].run(opts_);
     });
   } else {
-    // One dirty shard — or one effective worker: the pool round trip buys
+    // One dirty shard — or one hardware thread: the pool round trip buys
     // nothing, solve inline on the writer thread.
     for (std::size_t k = 0; k < dirty.size(); ++k) {
       rs[k] = shards_[dirty[k]].run(opts_);

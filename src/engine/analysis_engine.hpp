@@ -79,19 +79,15 @@ struct EngineStats {
   std::size_t flow_analyses = 0;     ///< per-flow per-sweep analyses run
   std::size_t flow_results_reused = 0;  ///< cached FlowResults reused
   std::size_t sweeps = 0;            ///< total sweeps executed
-  std::size_t accel_accepted = 0;    ///< Anderson iterates kept (safeguard)
-  std::size_t accel_rejected = 0;    ///< Anderson iterates rolled back
 };
 
 class AnalysisEngine {
  public:
-  /// `opts.warm_start` is ignored: the engine owns warm starting.
-  /// `opts.order` is also ignored: every shard/probe solve is Gauss-Seidel
-  /// (the engine's parallelism comes from fanning shards and batch probes
-  /// over the pool, not from Jacobi sweeps; results are the same unique
-  /// least fixed point either way).  `shard_by_domain = false` forces the
-  /// whole resident set into a single shard (the pre-shard behaviour; kept
-  /// for benchmarking the sharded path against it).
+  /// The engine owns warm starting and its parallelism: it fans shards and
+  /// batch probes over a pool sized to the hardware concurrency.
+  /// `shard_by_domain = false` forces the whole resident set into a single
+  /// shard (the pre-shard behaviour; kept for benchmarking the sharded path
+  /// against it).
   explicit AnalysisEngine(net::Network network,
                           core::HolisticOptions opts = {},
                           bool shard_by_domain = true);
@@ -120,9 +116,8 @@ class AnalysisEngine {
   /// Zeroes every counter (writer thread only).
   void reset_stats();
 
-  /// The engine's effective solve options (warm_start disengaged, order
-  /// normalized away by the per-shard Gauss-Seidel contract above).  The
-  /// daemon reports `options().solver.mode` in StatsResponse.
+  /// The solve options every shard and probe solve runs under (as passed
+  /// to the constructor or restore()).
   [[nodiscard]] const core::HolisticOptions& options() const { return opts_; }
 
   /// Current number of locality domains (shards).
@@ -207,8 +202,7 @@ class AnalysisEngine {
   ///
   /// `opts` must agree with the saving engine's options on every field the
   /// cached fixed points depend on (hop.horizon, hop.charge_self_circ,
-  /// max_sweeps, solver.mode — all fingerprinted in the stream); a mismatch
-  /// is rejected,
+  /// max_sweeps — all fingerprinted in the stream); a mismatch is rejected,
   /// since the persisted state would silently misanswer under different
   /// analysis semantics.  Throws io::CheckpointError on truncated,
   /// corrupted, forward-incompatible or semantically invalid streams.
@@ -276,8 +270,6 @@ class AnalysisEngine {
     PaddedCounter flow_analyses;
     PaddedCounter flow_results_reused;
     PaddedCounter sweeps;
-    PaddedCounter accel_accepted;
-    PaddedCounter accel_rejected;
   };
 
   /// Shard indices (ascending, deduped) owning the given route links; all
@@ -329,9 +321,7 @@ class AnalysisEngine {
   /// Folds one run's counters into the stats (relaxed atomics).
   void record_run(const RunStats& rs);
 
-  /// Worker count a pool for this engine would have (without creating one).
-  [[nodiscard]] std::size_t effective_threads() const;
-
+  /// Creates the pool (one worker per hardware thread) on first use.
   void ensure_pool();
 
   std::shared_ptr<const core::AnalysisContext> empty_ctx_;

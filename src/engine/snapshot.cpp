@@ -210,9 +210,7 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
   if (!base_converged) {
     // Some component never converged: there is no fixed point to warm-start
     // from, so run the whole set + candidate cold, in global order —
-    // bit-identical to the from-scratch analysis.  (Gauss-Seidel is forced:
-    // probes may run inside a thread-pool worker, and a Jacobi run would
-    // build a nested pool per probe.)
+    // bit-identical to the from-scratch analysis.
     p.base_converged = false;
     p.rs.full = true;
     core::AnalysisContext full =
@@ -229,14 +227,8 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       p.touched.push_back(static_cast<std::uint32_t>(s));
     }
-    core::HolisticOptions cold = opts_;
-    cold.order = core::SweepOrder::kGaussSeidel;
-    cold.warm_start = {};
-    core::IncrementalStats cold_is;
-    p.local = core::solve_holistic(full, core::SolveRequest{}, cold, &cold_is);
+    p.local = core::solve_holistic(full, core::SolveRequest{}, opts_);
     p.rs.sweeps = static_cast<std::size_t>(p.local.sweeps);
-    p.rs.accel_accepted = cold_is.accel_accepted;
-    p.rs.accel_rejected = cold_is.accel_rejected;
     p.dirty.assign(full.flow_count(), true);
     p.ctx = std::move(full);
     return p;
@@ -317,8 +309,6 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
     p.local = core::solve_holistic(ctx, req, opts_, &is);
     p.rs.flow_analyses = is.flow_analyses;
     p.rs.sweeps = is.sweeps;
-    p.rs.accel_accepted = is.accel_accepted;
-    p.rs.accel_rejected = is.accel_rejected;
     for (std::size_t pos = 0; pos < residents; ++pos) {
       if (!p.dirty[pos]) ++p.rs.flow_results_reused;
     }

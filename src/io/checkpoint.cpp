@@ -71,21 +71,12 @@ void AnalysisEngine::save(std::ostream& os) {
   engine_sec.u64(locs_.size());
   engine_sec.u64(shards_.size());
   // Analysis-option fingerprint: every field the persisted fixed points
-  // depend on.  (Sweep order, thread count and the envelope fast path do
-  // not change results — see core/holistic.hpp — so they are free to
-  // differ across save/restore.)
+  // depend on.  (The envelope fast path is bit-identical to direct demand
+  // evaluation — see HopOptions::use_envelope — so it is free to differ
+  // across save/restore.)
   engine_sec.time(opts_.hop.horizon);
   engine_sec.u8(opts_.hop.charge_self_circ ? 1 : 0);
   engine_sec.i32(opts_.max_sweeps);
-  // Solver mode (version 2): the accelerated mode is only identity-exact on
-  // acyclic interference (and conservative otherwise — see
-  // core::SolverOptions), so a restore must run under the mode that
-  // produced the checkpoint — silently switching strategies underneath
-  // persisted state would make "restored world answers bit-identically"
-  // unauditable.  The cyclic opt-in changes reachable fixed points, so it
-  // is part of the fingerprint byte.
-  engine_sec.u8(static_cast<std::uint8_t>(opts_.solver.mode) |
-                (opts_.solver.accept_cyclic ? 0x80 : 0));
 
   io::ByteWriter network_sec;
   io::codec::encode_network(network_sec, network());
@@ -176,7 +167,6 @@ AnalysisEngine::RestoredState AnalysisEngine::parse_checkpoint(
     const gmfnet::Time horizon = engine_sec.time();
     const bool charge_self_circ = engine_sec.u8() != 0;
     const std::int32_t max_sweeps = engine_sec.i32();
-    const std::uint8_t solver_mode = engine_sec.u8();
     if (horizon != opts.hop.horizon ||
         charge_self_circ != opts.hop.charge_self_circ ||
         max_sweeps != opts.max_sweeps) {
@@ -185,15 +175,6 @@ AnalysisEngine::RestoredState AnalysisEngine::parse_checkpoint(
           "solved under different hop.horizon / hop.charge_self_circ / "
           "max_sweeps — restore with the options the checkpoint was saved "
           "with");
-    }
-    const std::uint8_t want_mode =
-        static_cast<std::uint8_t>(opts.solver.mode) |
-        (opts.solver.accept_cyclic ? 0x80 : 0);
-    if (solver_mode != want_mode) {
-      throw CheckpointError(
-          "solver mode mismatch: the checkpoint's fixed points were solved "
-          "under a different iteration strategy (--solver) — restore with "
-          "the solver the checkpoint was saved with");
     }
     if (!engine_sec.done()) {
       throw CheckpointError("engine section has trailing bytes");
@@ -284,8 +265,6 @@ AnalysisEngine::AnalysisEngine(RestoredState&& st, core::HolisticOptions opts)
           std::move(st.network))),
       opts_(opts),
       shard_by_domain_(st.shard_by_domain) {
-  opts_.warm_start = {};  // the engine owns warm starting
-
   // Rebuild every shard's context directly from the persisted partition:
   // adding the shard's flows in local order reproduces the exact per-link
   // flow order (locals are kept ascending in global id, the one-context

@@ -51,10 +51,10 @@ namespace ckpt {
 
 /// Container constants, shared with tests that forge malformed streams.
 inline constexpr char kMagic[8] = {'G', 'M', 'F', 'N', 'C', 'K', 'P', 'T'};
-/// Version 2 appended the solver mode to the engine section's
-/// analysis-option fingerprint (version 1 streams are rejected: their fixed
-/// points carry no record of the strategy that produced them).
-inline constexpr std::uint32_t kVersion = 2;
+/// Version 3 dropped the solver-mode byte that version 2 appended to the
+/// engine section's analysis-option fingerprint; other versions are
+/// rejected.
+inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::size_t kVersionOffset = 8;
 inline constexpr std::size_t kPayloadLenOffset = 12;
 inline constexpr std::size_t kChecksumOffset = 20;

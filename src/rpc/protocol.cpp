@@ -17,8 +17,6 @@ void encode_engine_stats(io::ByteWriter& w, const engine::EngineStats& s) {
   w.u64(s.flow_analyses);
   w.u64(s.flow_results_reused);
   w.u64(s.sweeps);
-  w.u64(s.accel_accepted);
-  w.u64(s.accel_rejected);
 }
 
 engine::EngineStats decode_engine_stats(io::ByteReader& r) {
@@ -29,8 +27,6 @@ engine::EngineStats decode_engine_stats(io::ByteReader& r) {
   s.flow_analyses = static_cast<std::size_t>(r.u64());
   s.flow_results_reused = static_cast<std::size_t>(r.u64());
   s.sweeps = static_cast<std::size_t>(r.u64());
-  s.accel_accepted = static_cast<std::size_t>(r.u64());
-  s.accel_rejected = static_cast<std::size_t>(r.u64());
   return s;
 }
 
@@ -148,7 +144,6 @@ struct BodyEncoder {
     w.u64(m.frames_served);
     w.u64(m.coalesced_commits);
     w.u64(m.pipelined_hwm);
-    w.u8(m.solver_mode);
   }
   void operator()(const SaveCheckpointResponse& m) { w.str(m.checkpoint); }
   void operator()(const RestoreResponse& m) { w.u64(m.flows); }
@@ -306,7 +301,6 @@ Response decode_response_body(MsgType type, io::ByteReader& r) {
       m.frames_served = r.u64();
       m.coalesced_commits = r.u64();
       m.pipelined_hwm = r.u64();
-      m.solver_mode = r.u8();
       return m;
     }
     case MsgType::kSaveCheckpointResponse:

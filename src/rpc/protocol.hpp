@@ -34,7 +34,7 @@
 //                                           O(world) per-flow payload }
 //   STATS            {}                  -> { EngineStats, flows, shards,
 //                                            role, epoch, commit_seq, uptime,
-//                                            server counters, solver mode }
+//                                            server counters }
 //   SAVE_CHECKPOINT  {}                  -> { checkpoint blob (PR 4 stream) }
 //   RESTORE          { checkpoint blob } -> { restored flow count }
 //   SHUTDOWN         {}                  -> {}
@@ -85,7 +85,10 @@ class ProtocolError : public io::WireError {
 
 /// Frame constants, shared with tests that forge malformed frames.
 inline constexpr char kMagic[8] = {'G', 'M', 'F', 'N', 'R', 'P', 'C', '1'};
-inline constexpr std::uint32_t kVersion = 1;
+/// Version 2 dropped the solver fields from STATS.  Every frame carries the
+/// version and peers reject any other, so an old client fails loudly
+/// instead of misreading the positional STATS layout.
+inline constexpr std::uint32_t kVersion = 2;
 inline constexpr std::size_t kVersionOffset = 8;
 inline constexpr std::size_t kTypeOffset = 12;
 inline constexpr std::size_t kBodyLenOffset = 16;
@@ -237,10 +240,6 @@ struct StatsResponse {
   std::uint64_t coalesced_commits = 0;   ///< mutations folded into group
                                          ///< commits beyond the group heads
   std::uint64_t pipelined_hwm = 0;  ///< max frames in flight on one conn
-  // Appended after the PR 9 fields: which iteration strategy the engine's
-  // fixed-point solves run under (core::SolverMode values; the accel_*
-  // counters in `stats` are only nonzero under kAnderson).
-  std::uint8_t solver_mode = 0;
 };
 struct SaveCheckpointResponse {
   std::string checkpoint;

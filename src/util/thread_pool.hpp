@@ -1,9 +1,8 @@
 // Work-stealing-free, dead-simple thread pool with a parallel_for helper.
 //
 // Used for embarrassingly parallel parameter sweeps in the benches (each
-// (utilization, seed) cell is independent) and for the Jacobi variant of the
-// holistic fixed point, where all flows' response times in one sweep are
-// computed against a frozen jitter snapshot.
+// (utilization, seed) cell is independent) and by the analysis engine to fan
+// independent shard solves and batched what-if probes over the cores.
 #pragma once
 
 #include <condition_variable>

@@ -264,7 +264,7 @@ TEST(JitterMap, EqualityAndAdoptFlow) {
   const StageKey st = StageKey::ingress(NodeId(4));
   b.set_jitter(FlowId(1), st, 0, gmfnet::Time::us(7));
   EXPECT_NE(a, b);
-  a.adopt_flow(b, FlowId(1));
+  a.adopt_flow(b, FlowId(1), FlowId(1));
   EXPECT_EQ(a, b);
 }
 

@@ -24,19 +24,10 @@
 namespace gmfnet::engine {
 namespace {
 
-/// Base options honoring the GMFNET_SOLVER CI toggle: the sanitizer jobs
-/// re-run this suite with Anderson forced on, and incremental == cold must
-/// keep holding bit for bit (acyclic workloads; see core::SolverOptions).
-core::HolisticOptions env_opts() {
-  core::HolisticOptions o;
-  o.solver = core::solver_options_from_env();
-  return o;
-}
-
 core::HolisticResult from_scratch(const net::Network& net,
                                   const std::vector<gmf::Flow>& flows) {
   const core::AnalysisContext ctx(net, flows);
-  return core::analyze_holistic(ctx, env_opts());
+  return core::analyze_holistic(ctx);
 }
 
 /// The pre-envelope reference: same from-scratch run with the per-hop
@@ -46,7 +37,7 @@ core::HolisticResult from_scratch(const net::Network& net,
 core::HolisticResult from_scratch_naive(const net::Network& net,
                                         const std::vector<gmf::Flow>& flows) {
   const core::AnalysisContext ctx(net, flows);
-  core::HolisticOptions opts = env_opts();
+  core::HolisticOptions opts;
   opts.hop.use_envelope = false;
   return core::analyze_holistic(ctx, opts);
 }
@@ -75,6 +66,65 @@ void expect_bit_identical(const core::HolisticResult& inc,
           << where << ": flow " << f << " frame " << k;
     }
   }
+}
+
+/// Drives one scenario through the engine and compares every step bit for
+/// bit with a cold rebuild: incremental adds, random removals (the
+/// reset-dirty-component path), a re-add (warm start over a shrunk fixed
+/// point), envelope parity, and what-if probes (single and batched).
+void check_scenario(const net::Network& net,
+                    const std::vector<gmf::Flow>& flows, Rng& rng,
+                    const std::string& tag) {
+  AnalysisEngine eng(net);
+  std::vector<gmf::Flow> mirror;  // ground truth for the cold rebuild
+
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    eng.add_flow(flows[i]);
+    mirror.push_back(flows[i]);
+    expect_bit_identical(eng.evaluate(), from_scratch(net, mirror),
+                         tag + " after add " + std::to_string(i));
+  }
+
+  const std::size_t removals = 1 + rng.next_below(2);
+  for (std::size_t r = 0; r < removals && !mirror.empty(); ++r) {
+    const auto idx = static_cast<std::size_t>(rng.next_below(mirror.size()));
+    ASSERT_TRUE(eng.remove_flow(idx));
+    mirror.erase(mirror.begin() + static_cast<std::ptrdiff_t>(idx));
+    if (mirror.empty()) break;
+    expect_bit_identical(eng.evaluate(), from_scratch(net, mirror),
+                         tag + " after remove " + std::to_string(idx));
+  }
+
+  eng.add_flow(flows[0]);
+  mirror.push_back(flows[0]);
+  expect_bit_identical(eng.evaluate(), from_scratch(net, mirror),
+                       tag + " after re-add");
+
+  // Envelope fast path vs the pre-envelope naive per-hop evaluation: the
+  // cold runs above used the (default) envelope path; the naive reference
+  // must agree bit-for-bit on the same final flow set.
+  expect_bit_identical(from_scratch(net, mirror),
+                       from_scratch_naive(net, mirror),
+                       tag + " envelope parity");
+
+  // What-if probes match cold runs and commit nothing.
+  const std::vector<gmf::Flow> cands = {flows.back(), flows[0]};
+  const auto batch = eng.evaluate_batch(cands);
+  ASSERT_EQ(batch.size(), cands.size());
+  EXPECT_EQ(eng.flow_count(), mirror.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    std::vector<gmf::Flow> with = mirror;
+    with.push_back(cands[i]);
+    const core::HolisticResult cold = from_scratch(net, with);
+    expect_bit_identical(batch[i].result(), cold,
+                         tag + " batch candidate " + std::to_string(i));
+    expect_bit_identical(batch[i].result(), from_scratch_naive(net, with),
+                         tag + " batch candidate (naive parity) " +
+                             std::to_string(i));
+    expect_bit_identical(eng.what_if(cands[i]).result(), cold,
+                         tag + " what-if candidate " + std::to_string(i));
+  }
+  EXPECT_EQ(eng.flow_count(), mirror.size());
 }
 
 class EngineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -118,64 +168,40 @@ TEST_P(EngineEquivalence, IncrementalMatchesFromScratch) {
   ASSERT_TRUE(ts.has_value());
   core::assign_priorities(ts->flows, core::PriorityScheme::kDeadlineMonotonic);
 
-  AnalysisEngine eng(net, env_opts());
-  std::vector<gmf::Flow> mirror;  // ground truth for the cold rebuild
-
-  // Incremental adds, compared to a cold rebuild at every step.
-  for (std::size_t i = 0; i < ts->flows.size(); ++i) {
-    eng.add_flow(ts->flows[i]);
-    mirror.push_back(ts->flows[i]);
-    expect_bit_identical(eng.evaluate(), from_scratch(net, mirror),
-                         "seed " + std::to_string(seed) + " after add " +
-                             std::to_string(i));
-  }
-
-  // Random removals (exercises the reset-dirty-component path).
-  const std::size_t removals = 1 + rng.next_below(2);
-  for (std::size_t r = 0; r < removals && !mirror.empty(); ++r) {
-    const auto idx = static_cast<std::size_t>(rng.next_below(mirror.size()));
-    ASSERT_TRUE(eng.remove_flow(idx));
-    mirror.erase(mirror.begin() + static_cast<std::ptrdiff_t>(idx));
-    if (mirror.empty()) break;
-    expect_bit_identical(eng.evaluate(), from_scratch(net, mirror),
-                         "seed " + std::to_string(seed) + " after remove " +
-                             std::to_string(idx));
-  }
-
-  // Re-add after removal (warm start over a shrunk fixed point).
-  eng.add_flow(ts->flows[0]);
-  mirror.push_back(ts->flows[0]);
-  expect_bit_identical(eng.evaluate(), from_scratch(net, mirror),
-                       "seed " + std::to_string(seed) + " after re-add");
-
-  // Envelope fast path vs the pre-envelope naive per-hop evaluation: the
-  // cold runs above used the (default) envelope path; the naive reference
-  // must agree bit-for-bit on the same final flow set.
-  expect_bit_identical(from_scratch(net, mirror),
-                       from_scratch_naive(net, mirror),
-                       "seed " + std::to_string(seed) + " envelope parity");
-
-  // Batch what-if probes match cold runs and commit nothing.
-  std::vector<gmf::Flow> cands = {ts->flows.back(), ts->flows[0]};
-  const auto batch = eng.evaluate_batch(cands);
-  ASSERT_EQ(batch.size(), cands.size());
-  EXPECT_EQ(eng.flow_count(), mirror.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    std::vector<gmf::Flow> with = mirror;
-    with.push_back(cands[i]);
-    expect_bit_identical(batch[i].result(), from_scratch(net, with),
-                         "seed " + std::to_string(seed) + " batch candidate " +
-                             std::to_string(i));
-    expect_bit_identical(batch[i].result(), from_scratch_naive(net, with),
-                         "seed " + std::to_string(seed) +
-                             " batch candidate (naive parity) " +
-                             std::to_string(i));
-  }
+  check_scenario(net, ts->flows, rng, "seed " + std::to_string(seed));
 }
 
 // 100+ random scenarios (the acceptance floor for this property).
 INSTANTIATE_TEST_SUITE_P(Scenarios, EngineEquivalence,
                          ::testing::Range<std::uint64_t>(0, 108));
+
+// Two flows of distinct priority sharing the sw0 -> sw1 link, neither as
+// its first hop.  Egress interference at sw0 runs one way only (the
+// higher priority delays the lower), but ingress at sw1 is priority-blind:
+// each flow's ingress stage reads the other's iterated jitter.  The
+// interference graph is therefore cyclic even though no two flows share a
+// priority — the shape a priority-only dependency check misses.
+TEST(EngineEquivalenceIngressCycle, DistinctPrioritiesMatchFromScratch) {
+  const auto line = net::make_line_network(2, 100'000'000);
+  const std::vector<gmf::Flow> flows = {
+      gmf::make_sporadic_flow(
+          "hi", net::Route({line.src_host, line.switches[0],
+                            line.switches[1], line.dst_host}),
+          gmfnet::Time::us(500), gmfnet::Time::ms(10), 1500 * 8, 2),
+      gmf::make_sporadic_flow(
+          "lo", net::Route({line.leaf_hosts[0], line.switches[0],
+                            line.switches[1], line.leaf_hosts[1]}),
+          gmfnet::Time::us(500), gmfnet::Time::ms(10), 1500 * 8, 1)};
+
+  // The whole-set solve must be a real fixed point for the comparisons
+  // below to mean anything.
+  const core::HolisticResult cold = from_scratch(line.net, flows);
+  ASSERT_TRUE(cold.converged);
+  ASSERT_TRUE(cold.schedulable);
+
+  Rng rng(0x1c1c1e);
+  check_scenario(line.net, flows, rng, "ingress cycle");
+}
 
 }  // namespace
 }  // namespace gmfnet::engine

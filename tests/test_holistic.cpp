@@ -11,23 +11,13 @@ namespace {
 
 constexpr ethernet::LinkSpeedBps kSpeed = 10'000'000;
 
-/// Base options honoring the GMFNET_SOLVER CI toggle: the sanitizer jobs
-/// re-run this suite with Anderson forced on, and every result must be
-/// bit-identical by the solver contract (the workloads here have acyclic
-/// interference, so the accelerated fixed point is provably the same).
-HolisticOptions env_opts() {
-  HolisticOptions o;
-  o.solver = solver_options_from_env();
-  return o;
-}
-
 TEST(Holistic, LoneFlowConvergesInTwoSweeps) {
   const auto star = net::make_star_network(4, kSpeed);
   std::vector<gmf::Flow> flows = {gmf::make_sporadic_flow(
       "a", net::Route({star.hosts[0], star.sw, star.hosts[1]}),
       gmfnet::Time::ms(20), gmfnet::Time::ms(20), 1000 * 8)};
   const AnalysisContext ctx(star.net, flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.schedulable);
   // Sweep 1 installs the stage jitters, sweep 2 observes no change.
@@ -39,39 +29,12 @@ TEST(Holistic, LoneFlowConvergesInTwoSweeps) {
 TEST(Holistic, Figure2ScenarioSchedulable) {
   const auto s = workload::make_figure2_scenario(kSpeed, true);
   const AnalysisContext ctx(s.network, s.flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.schedulable);
   for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
     EXPECT_TRUE(r.flows[f].all_converged()) << "flow " << f;
   }
-}
-
-TEST(Holistic, GaussSeidelAndJacobiAgreeOnFixedPoint) {
-  const auto s = workload::make_figure2_scenario(kSpeed, true);
-  const AnalysisContext ctx(s.network, s.flows);
-  HolisticOptions gs = env_opts();
-  gs.order = SweepOrder::kGaussSeidel;
-  HolisticOptions jc = env_opts();
-  jc.order = SweepOrder::kJacobi;
-  jc.threads = 4;
-  const HolisticResult rg = analyze_holistic(ctx, gs);
-  const HolisticResult rj = analyze_holistic(ctx, jc);
-  ASSERT_TRUE(rg.converged);
-  ASSERT_TRUE(rj.converged);
-  // Same least fixed point -> identical jitters and response bounds.
-  EXPECT_EQ(rg.jitters, rj.jitters);
-  for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
-    for (std::size_t k = 0; k < ctx.flow(FlowId(static_cast<std::int32_t>(f)))
-                                    .frame_count();
-         ++k) {
-      EXPECT_EQ(rg.flows[f].frames[k].response,
-                rj.flows[f].frames[k].response)
-          << "flow " << f << " frame " << k;
-    }
-  }
-  // Jacobi may need more sweeps, never fewer.
-  EXPECT_GE(rj.sweeps, rg.sweeps);
 }
 
 TEST(Holistic, BoundsAreMonotoneInLoad) {
@@ -91,7 +54,7 @@ TEST(Holistic, BoundsAreMonotoneInLoad) {
 TEST(Holistic, JitterPropagatesDownstream) {
   const auto s = workload::make_figure2_scenario(kSpeed, false);
   const AnalysisContext ctx(s.network, s.flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   ASSERT_TRUE(r.converged);
   const auto& stages = ctx.stages(FlowId(0));
   // Jitter strictly accumulates along the pipeline for every frame.
@@ -111,7 +74,7 @@ TEST(Holistic, UnschedulableOverloadReported) {
       "over", net::Route({star.hosts[0], star.sw, star.hosts[1]}),
       gmfnet::Time::ms(2), gmfnet::Time::ms(2), 15000 * 8)};
   const AnalysisContext ctx(star.net, flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   EXPECT_FALSE(r.converged);
   EXPECT_FALSE(r.schedulable);
 }
@@ -123,7 +86,7 @@ TEST(Holistic, DeadlineMissWithoutDivergence) {
       "tight", net::Route({star.hosts[0], star.sw, star.hosts[1]}),
       gmfnet::Time::ms(20), gmfnet::Time::ms(1), 1000 * 8)};
   const AnalysisContext ctx(star.net, flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   EXPECT_TRUE(r.converged);       // analysis converges fine...
   EXPECT_FALSE(r.schedulable);    // ...but the deadline is missed
 }
@@ -131,7 +94,7 @@ TEST(Holistic, DeadlineMissWithoutDivergence) {
 TEST(Holistic, WorstResponseAccessor) {
   const auto s = workload::make_figure2_scenario(kSpeed, false);
   const AnalysisContext ctx(s.network, s.flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(r.worst_response(FlowId(0)), r.flows[0].worst_response());
   EXPECT_GT(r.worst_response(FlowId(0)), gmfnet::Time::zero());
@@ -150,7 +113,7 @@ TEST(Holistic, ManyIndependentFlowsStillTwoSweeps) {
         gmfnet::Time::ms(20), gmfnet::Time::ms(20), 1000 * 8));
   }
   const AnalysisContext ctx(star.net, flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.schedulable);
   EXPECT_EQ(r.sweeps, 2);

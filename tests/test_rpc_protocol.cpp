@@ -79,8 +79,6 @@ std::vector<std::string> representative_response_frames() {
   stats.evaluations = 7;
   stats.incremental_runs = 5;
   stats.sweeps = 21;
-  stats.accel_accepted = 4;
-  stats.accel_rejected = 1;
   StatsResponse sr;
   sr.stats = stats;
   sr.flows = 4;
@@ -89,8 +87,6 @@ std::vector<std::string> representative_response_frames() {
   sr.epoch = 3;
   sr.commit_seq = 99;
   sr.uptime_ms = 123'456;
-  sr.solver_mode =
-      static_cast<std::uint8_t>(core::SolverMode::kAnderson);
   DeltaResponse admit_delta;
   admit_delta.kind = DeltaKind::kAdmit;
   admit_delta.epoch = 2;
@@ -172,24 +168,44 @@ TEST(RpcProtocol, ResponsesRoundTripBitIdentically) {
   }
 }
 
-TEST(RpcProtocol, StatsResponseCarriesSolverModeAndAccelCounters) {
-  // The operator-facing solver telemetry (gmfnet_ctl stats): which
-  // iteration strategy the daemon's solves run under, and how often the
-  // Anderson safeguard accepted/rolled back.
-  engine::EngineStats stats;
-  stats.sweeps = 33;
-  stats.accel_accepted = 6;
-  stats.accel_rejected = 2;
+TEST(RpcProtocol, StatsResponseRoundTripsEveryField) {
+  // The operator-facing STATS layout is positional: every field must come
+  // back where it was written.
   StatsResponse sr;
-  sr.stats = stats;
-  sr.solver_mode = static_cast<std::uint8_t>(core::SolverMode::kAnderson);
+  sr.stats.evaluations = 1;
+  sr.stats.full_runs = 2;
+  sr.stats.incremental_runs = 3;
+  sr.stats.flow_analyses = 4;
+  sr.stats.flow_results_reused = 5;
+  sr.stats.sweeps = 6;
+  sr.flows = 7;
+  sr.shards = 8;
+  sr.role = Role::kReplica;
+  sr.epoch = 9;
+  sr.commit_seq = 10;
+  sr.uptime_ms = 11;
+  sr.active_connections = 12;
+  sr.frames_served = 13;
+  sr.coalesced_commits = 14;
+  sr.pipelined_hwm = 15;
   const Response decoded = decode_response(encode_response(sr));
   const auto& got = std::get<StatsResponse>(decoded);
-  EXPECT_EQ(got.solver_mode,
-            static_cast<std::uint8_t>(core::SolverMode::kAnderson));
-  EXPECT_EQ(got.stats.sweeps, 33u);
-  EXPECT_EQ(got.stats.accel_accepted, 6u);
-  EXPECT_EQ(got.stats.accel_rejected, 2u);
+  EXPECT_EQ(got.stats.evaluations, 1u);
+  EXPECT_EQ(got.stats.full_runs, 2u);
+  EXPECT_EQ(got.stats.incremental_runs, 3u);
+  EXPECT_EQ(got.stats.flow_analyses, 4u);
+  EXPECT_EQ(got.stats.flow_results_reused, 5u);
+  EXPECT_EQ(got.stats.sweeps, 6u);
+  EXPECT_EQ(got.flows, 7u);
+  EXPECT_EQ(got.shards, 8u);
+  EXPECT_EQ(got.role, Role::kReplica);
+  EXPECT_EQ(got.epoch, 9u);
+  EXPECT_EQ(got.commit_seq, 10u);
+  EXPECT_EQ(got.uptime_ms, 11u);
+  EXPECT_EQ(got.active_connections, 12u);
+  EXPECT_EQ(got.frames_served, 13u);
+  EXPECT_EQ(got.coalesced_commits, 14u);
+  EXPECT_EQ(got.pipelined_hwm, 15u);
 }
 
 TEST(RpcProtocol, VerdictOnlyWhatIfCarriesSummaryButNoPayload) {
@@ -344,13 +360,17 @@ TEST(RpcProtocol, InvalidEnumValuesInWellFramedBodiesRejected) {
 }
 
 TEST(RpcProtocol, ForwardIncompatibleVersionRejected) {
-  std::string bad = encode_request(StatsRequest{});
-  bad[kVersionOffset] = static_cast<char>(kVersion + 1);
-  try {
-    (void)decode_request(bad);
-    FAIL() << "expected ProtocolError";
-  } catch (const ProtocolError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  // The next version, and version 1 (whose STATS body still carried the
+  // solver fields): an old peer fails loudly instead of misreading them.
+  for (const std::uint32_t version : {kVersion + 1, 1u}) {
+    std::string bad = encode_request(StatsRequest{});
+    bad[kVersionOffset] = static_cast<char>(version);
+    try {
+      (void)decode_request(bad);
+      FAIL() << "expected ProtocolError for version " << version;
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    }
   }
 }
 

@@ -9,7 +9,7 @@
 // checkpoint, exit 0.
 //
 //   gmfnetd (--unix PATH | --tcp PORT) (--scenario FILE | --restore FILE)
-//           [--host ADDR] [--readers N] [--solver SPEC]
+//           [--host ADDR] [--readers N]
 //           [--checkpoint-path P] [--checkpoint-every N]
 //           [--io-timeout MS] [--idle-timeout MS] [--max-conns N]
 //           [--drain-timeout MS]
@@ -38,12 +38,6 @@
 //                         atomic checkpoint writer maintains — so a crash
 //                         mid-save never strands the daemon
 //   --readers N           what-if reader pool size (default: hardware)
-//   --solver SPEC         fixed-point iteration strategy: "plain" (default)
-//                         or "anderson"/"anderson:M" (safeguarded
-//                         Anderson(M) acceleration, M in [1,8]; identical
-//                         verdicts, fewer sweeps near saturation).  A
-//                         --restore checkpoint must have been saved under
-//                         the same solver mode (fingerprinted)
 //   --checkpoint-path P   write crash-safe checkpoints to P (final one on
 //                         drain/shutdown; P.prev keeps the previous
 //                         generation)
@@ -91,7 +85,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s (--unix PATH | --tcp PORT) (--scenario FILE | --restore "
       "FILE)\n"
-      "          [--host ADDR] [--readers N] [--solver SPEC]\n"
+      "          [--host ADDR] [--readers N]\n"
       "          [--checkpoint-path P] [--checkpoint-every N]\n"
       "          [--io-timeout MS] [--idle-timeout MS] [--max-conns N]\n"
       "          [--drain-timeout MS]\n"
@@ -164,7 +158,7 @@ int main(int argc, char** argv) {
   long long drain_timeout = 5'000;
   std::string replica_of;
   long long journal_cap = 1024;
-  core::HolisticOptions engine_opts;
+  const core::HolisticOptions engine_opts;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -181,14 +175,6 @@ int main(int argc, char** argv) {
       restore_path = argv[++i];
     } else if (arg == "--readers" && has_value) {
       if (!parse_number(argv[++i], 0, 4096, readers)) return usage(argv[0]);
-    } else if (arg == "--solver" && has_value) {
-      if (!core::parse_solver_spec(argv[++i], engine_opts.solver)) {
-        std::fprintf(stderr,
-                     "gmfnetd: bad --solver spec '%s' (want plain | anderson "
-                     "| anderson:M with M in [1,8])\n",
-                     argv[i]);
-        return usage(argv[0]);
-      }
     } else if (arg == "--checkpoint-path" && has_value) {
       checkpoint_path = argv[++i];
     } else if (arg == "--checkpoint-every" && has_value) {
