@@ -322,7 +322,7 @@ net::FlowId AnalysisEngine::add_flow(gmf::Flow flow) {
   s.to_global.push_back(global);
   locs_.push_back(FlowLoc{target, static_cast<std::uint32_t>(local.v)});
   global_ = nullptr;
-  lean_stale_ = true;
+  lean_snap_.reset();
   return global;
 }
 
@@ -387,7 +387,7 @@ bool AnalysisEngine::remove_flow(std::size_t index) {
     }
   }
   global_ = nullptr;
-  lean_stale_ = true;
+  lean_snap_.reset();
   return true;
 }
 
@@ -422,7 +422,11 @@ void AnalysisEngine::assemble_and_publish() {
   }
   g.schedulable = g.converged && sched;
   global_ = std::make_shared<const core::HolisticResult>(std::move(g));
+  std::atomic_store(&published_, build_snapshot());
+  lean_snap_.reset();
+}
 
+std::shared_ptr<const EngineSnapshot> AnalysisEngine::build_snapshot() const {
   auto snap = std::shared_ptr<EngineSnapshot>(new EngineSnapshot());
   snap->empty_ctx_ = empty_ctx_;
   snap->opts_ = opts_;
@@ -435,8 +439,7 @@ void AnalysisEngine::assemble_and_publish() {
   snap->locs_ = locs_;
   snap->link_shard_ = link_shard_;
   snap->global_ = global_;
-  std::atomic_store(&published_,
-                    std::shared_ptr<const EngineSnapshot>(std::move(snap)));
+  return snap;
 }
 
 bool AnalysisEngine::solve_dirty() {
@@ -471,7 +474,7 @@ bool AnalysisEngine::solve_dirty() {
 
   // A run installs fresh shard caches: any lean snapshot's ShardViews now
   // point at stale state.
-  lean_stale_ = true;
+  lean_snap_.reset();
   return true;
 }
 
@@ -502,22 +505,37 @@ WhatIfResult AnalysisEngine::what_if(const gmf::Flow& candidate) {
 std::optional<core::HolisticResult> AnalysisEngine::try_admit(
     gmf::Flow candidate) {
   (void)evaluate();
-  const std::shared_ptr<const EngineSnapshot> snap = published();
+  if (!try_admit_lean(candidate)) return std::nullopt;
+  return evaluate();
+}
+
+bool AnalysisEngine::try_admit_lean(const gmf::Flow& candidate) {
+  // With no commit pending (global result current) the published snapshot
+  // is the current state: probe it and build nothing.  Otherwise converge
+  // the pending state and probe a writer-private snapshot of it, reused
+  // until the next mutation.
+  std::shared_ptr<const EngineSnapshot> snap;
+  if (global_ != nullptr) {
+    snap = published();
+  } else {
+    (void)solve_dirty();
+    if (!lean_snap_) lean_snap_ = build_snapshot();
+    snap = lean_snap_;
+  }
   // retain_ctx: an accepted probe is committed wholesale, so its context
   // (candidate included) and complete local result must leave the scratch.
   EngineSnapshot::Probe probe =
       snap->run_probe(candidate, writer_scratch_, /*retain_ctx=*/true);
+  // Untouched shards' flows enter the full result verbatim: count them as
+  // reused alongside the clean flows of the probed component.
   probe.rs.flow_results_reused += flow_count() + 1 - probe.to_global.size();
   record_run(probe.rs);
-  if (!snap->probe_admissible(probe)) return std::nullopt;
-
-  // Commit: adopt the probe's context and converged state wholesale; the
-  // next arrival warm-starts from here.
+  if (!snap->probe_admissible(probe)) return false;
   commit_probe(std::move(probe));
-  return *global_;
+  return true;
 }
 
-void AnalysisEngine::commit_probe(EngineSnapshot::Probe probe, bool publish) {
+void AnalysisEngine::commit_probe(EngineSnapshot::Probe probe) {
   assert(probe.base_converged);
   Shard merged;
   merged.to_global = std::move(probe.to_global);
@@ -535,60 +553,10 @@ void AnalysisEngine::commit_probe(EngineSnapshot::Probe probe, bool publish) {
   locs_.push_back(FlowLoc{});
   shards_.push_back(std::move(merged));
   index_shard(static_cast<std::uint32_t>(shards_.size() - 1));
-  lean_stale_ = true;
-  if (publish) {
-    assemble_and_publish();
-  } else {
-    // Lean batch commit: the shard surgery is done but the global result
-    // and published snapshot stay stale until end_batch() assembles once.
-    global_ = nullptr;
-  }
-}
-
-void AnalysisEngine::begin_batch() {
-  // Lean probes must not run against a snapshot predating the batch.
-  lean_stale_ = true;
-}
-
-void AnalysisEngine::refresh_lean_snapshot() {
-  auto snap = std::shared_ptr<EngineSnapshot>(new EngineSnapshot());
-  snap->empty_ctx_ = empty_ctx_;
-  snap->opts_ = opts_;
-  snap->sharded_ = shard_by_domain_;
-  snap->shards_.reserve(shards_.size());
-  for (const Shard& s : shards_) {
-    snap->shards_.push_back(
-        EngineSnapshot::ShardView{s.ctx, s.cache, s.to_global});
-  }
-  snap->locs_ = locs_;
-  snap->link_shard_ = link_shard_;
-  // global_ stays null: lean snapshots only back run_probe /
-  // probe_admissible, which never read it — skipping the O(resident)
-  // assembly is the whole point of the batch.
-  lean_snap_ = std::move(snap);
-  lean_stale_ = false;
-}
-
-bool AnalysisEngine::try_admit_lean(gmf::Flow candidate) {
-  (void)solve_dirty();
-  if (lean_stale_ || !lean_snap_) refresh_lean_snapshot();
-  const std::shared_ptr<const EngineSnapshot> snap = lean_snap_;
-  // retain_ctx: an accepted probe is committed wholesale, as in try_admit.
-  EngineSnapshot::Probe probe =
-      snap->run_probe(candidate, writer_scratch_, /*retain_ctx=*/true);
-  probe.rs.flow_results_reused += flow_count() + 1 - probe.to_global.size();
-  record_run(probe.rs);
-  if (!snap->probe_admissible(probe)) return false;
-  commit_probe(std::move(probe), /*publish=*/false);
-  return true;
-}
-
-const core::HolisticResult& AnalysisEngine::end_batch() {
+  // The next evaluate() assembles and publishes: the committed shard is
+  // converged, so it re-solves nothing.
+  global_ = nullptr;
   lean_snap_.reset();
-  lean_stale_ = true;
-  // Any lean commit nulled global_, so this assembles + publishes exactly
-  // once; a batch that committed nothing keeps the current publication.
-  return evaluate();
 }
 
 std::vector<WhatIfResult> AnalysisEngine::evaluate_batch(

@@ -16,14 +16,14 @@
 //    the touched domain, not the resident count — and a full-set
 //    evaluation fans the dirty shards over a thread pool.
 //
-//  * RCU-style published snapshots.  After every committed mutation the
-//    engine publishes an immutable EngineSnapshot (engine/snapshot.hpp) by
+//  * RCU-style published snapshots.  After every commit group the engine
+//    publishes an immutable EngineSnapshot (engine/snapshot.hpp) by
 //    a single atomic shared_ptr swap.  Reader threads load the snapshot
 //    (`published()`) and run `EngineSnapshot::what_if` probes against it
 //    with zero engine locking — all snapshot state is immutable or
 //    copy-on-write — so N operator threads issue concurrent what-ifs while
 //    the writer thread keeps admitting.  Readers see the world as of the
-//    last publication: consistent, possibly one mutation stale.
+//    last publication: consistent, possibly one commit group stale.
 //
 //  * Warm-started fixed point.  Re-analysis seeds the holistic iteration
 //    from the previously converged JitterMap instead of zeros.  The sweep
@@ -43,9 +43,10 @@
 // this property over randomized scenarios, including concurrent readers.
 //
 // Threading contract: ONE writer thread drives the mutating API (add_flow,
-// remove_flow, evaluate, what_if, try_admit, evaluate_batch).  Any number
-// of reader threads may concurrently call published() / stats() and probe
-// the returned snapshots.  evaluate_batch parallelises internally.
+// remove_flow, evaluate, what_if, try_admit, try_admit_lean,
+// evaluate_batch).  Any number of reader threads may concurrently call
+// published() / stats() and probe the returned snapshots.  evaluate_batch
+// parallelises internally.
 #pragma once
 
 #include <atomic>
@@ -144,36 +145,29 @@ class AnalysisEngine {
   WhatIfResult what_if(const gmf::Flow& candidate);
 
   /// Tests `candidate` against the resident set; on acceptance it joins the
-  /// set (adopting the probe's converged state — no re-analysis) and the
-  /// full result is returned, on rejection the set is unchanged and
-  /// std::nullopt is returned.
+  /// set and the full result is returned, on rejection the set is unchanged
+  /// and std::nullopt is returned.  A commit group of one: evaluate(),
+  /// try_admit_lean(), evaluate().
   std::optional<core::HolisticResult> try_admit(gmf::Flow candidate);
 
-  // -- coalesced mutation batches -------------------------------------------
+  // -- commit groups --------------------------------------------------------
   //
-  // A batch amortizes the dominant per-mutation cost — the O(resident)
-  // global-result assembly + snapshot publication — over K queued
-  // mutations: begin_batch(); K × try_admit_lean()/remove_flow();
-  // end_batch() performs ONE assembly and ONE publication.  Verdicts are
-  // bit-identical to the sequential try_admit path: a lean probe runs
-  // against the exact same shard contexts and converged caches, it merely
-  // skips materializing the whole-set result between commits.  Readers keep
-  // seeing the last published snapshot until end_batch().
+  // Every gated admission commits through try_admit_lean.  A commit group
+  // is K × try_admit_lean()/remove_flow() followed by ONE evaluate(): the
+  // O(resident) global-result assembly + snapshot publication is paid once
+  // per group instead of once per mutation.  Verdicts are bit-identical to
+  // running the same mutations one at a time, each followed by evaluate():
+  // a probe runs against the exact same shard contexts and converged
+  // caches, it merely skips materializing the whole-set result between
+  // commits.  Readers keep seeing the last published snapshot until the
+  // group's evaluate().
 
-  /// Opens a coalesced batch.  Only affects which internal snapshot lean
-  /// admissions probe against; readers are never blocked.
-  void begin_batch();
-
-  /// Gated admission without publishing: identical verdict to try_admit on
-  /// the same state, but a success only commits the probe's shard surgery —
-  /// the global result and published snapshot stay stale until end_batch().
-  /// Returns true when the candidate was admitted.  Throws std::logic_error
-  /// on malformed candidates.
-  bool try_admit_lean(gmf::Flow candidate);
-
-  /// Closes the batch: solves anything still dirty (e.g. lazy removals),
-  /// assembles the global result and publishes exactly one fresh snapshot.
-  const core::HolisticResult& end_batch();
+  /// Gated admission without publishing: on acceptance the candidate joins
+  /// the set (adopting the probe's converged state — no re-analysis), but
+  /// the global result and published snapshot stay stale until the next
+  /// evaluate().  Returns true when the candidate was admitted.  Throws
+  /// std::logic_error on malformed candidates.
+  bool try_admit_lean(const gmf::Flow& candidate);
 
   /// Independent what-if probes for every candidate against the *same*
   /// published snapshot, fanned over a thread pool; candidates are not
@@ -299,24 +293,21 @@ class AnalysisEngine {
 
   /// Solves every dirty shard (fanned over the pool when several are
   /// dirty), folding run stats; returns true when any shard ran.  Factored
-  /// out of evaluate() so lean batch admissions can converge the world
-  /// without assembling/publishing it.
+  /// out of evaluate() so try_admit_lean can converge the world without
+  /// assembling/publishing it.
   bool solve_dirty();
 
   /// Assembles the global result from the shard caches and publishes a
   /// fresh snapshot.
   void assemble_and_publish();
 
-  /// Rebuilds the writer-private lean snapshot from the current shard
-  /// state.  Identical to the snapshot half of assemble_and_publish()
-  /// except the global result is left null (lean probes never read it) and
-  /// nothing is published.
-  void refresh_lean_snapshot();
+  /// A snapshot of the current shard state carrying `global_` (null while
+  /// a commit is pending: probes never read it).
+  [[nodiscard]] std::shared_ptr<const EngineSnapshot> build_snapshot() const;
 
   /// Installs a successful probe as a committed merged shard (candidate
-  /// included); publishes unless `publish` is false (lean batch commits
-  /// defer the assembly + publication to end_batch()).
-  void commit_probe(EngineSnapshot::Probe probe, bool publish = true);
+  /// included).  The global result goes stale until the next evaluate().
+  void commit_probe(EngineSnapshot::Probe probe);
 
   /// Folds one run's counters into the stats (relaxed atomics).
   void record_run(const RunStats& rs);
@@ -332,10 +323,10 @@ class AnalysisEngine {
   std::map<net::LinkRef, std::uint32_t> link_shard_;
   /// Assembled whole-set result of the last evaluation (null = stale).
   std::shared_ptr<const core::HolisticResult> global_;
-  /// Writer-private snapshot backing lean batch probes; never published.
-  /// Rebuilt lazily whenever the shard structure changed underneath it.
+  /// Writer-private snapshot backing probes while a commit is pending
+  /// (global_ null); built on demand, dropped by every mutation and every
+  /// publication.
   std::shared_ptr<const EngineSnapshot> lean_snap_;
-  bool lean_stale_ = true;
   /// Accessed only via std::atomic_load / std::atomic_store.
   std::shared_ptr<const EngineSnapshot> published_;
   std::unique_ptr<ThreadPool> pool_;  ///< lazy; batch + shard fan-out

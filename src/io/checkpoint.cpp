@@ -161,11 +161,11 @@ AnalysisEngine::RestoredState AnalysisEngine::parse_checkpoint(
   try {
     io::ByteReader engine_sec =
         io::read_section(payload, io::kSecEngine, "engine section");
-    st.shard_by_domain = engine_sec.u8() != 0;
+    st.shard_by_domain = engine_sec.boolean();
     const std::size_t flow_count = engine_sec.u64();
     const std::size_t shard_count = engine_sec.u64();
     const gmfnet::Time horizon = engine_sec.time();
-    const bool charge_self_circ = engine_sec.u8() != 0;
+    const bool charge_self_circ = engine_sec.boolean();
     const std::int32_t max_sweeps = engine_sec.i32();
     if (horizon != opts.hop.horizon ||
         charge_self_circ != opts.hop.charge_self_circ ||
@@ -205,7 +205,7 @@ AnalysisEngine::RestoredState AnalysisEngine::parse_checkpoint(
       for (std::size_t l = 0; l < locals; ++l) {
         shard.to_global.emplace_back(shards_sec.i32());
       }
-      if (shards_sec.u8() == 0) {
+      if (!shards_sec.boolean()) {
         throw CheckpointError("shard " + std::to_string(s) +
                               " carries no converged state");
       }

@@ -81,7 +81,7 @@ gmf::Flow decode_flow(ByteReader& r) {
   nodes.reserve(hops);
   for (std::size_t i = 0; i < hops; ++i) nodes.emplace_back(r.i32());
   const std::int64_t priority = r.i64();
-  const bool rtp = r.u8() != 0;
+  const bool rtp = r.boolean();
   const std::size_t nframes = r.count(8 * 4);
   std::vector<gmf::FrameSpec> frames;
   frames.reserve(nframes);
@@ -145,7 +145,7 @@ core::JitterMap decode_jitter_map(ByteReader& r) {
   const std::size_t slots = r.count(1);
   m.resize_slots(slots);
   for (std::size_t f = 0; f < slots; ++f) {
-    if (r.u8() == 0) continue;
+    if (!r.boolean()) continue;
     const net::FlowId id(static_cast<std::int32_t>(f));
     const std::size_t stages = r.count(1 + 4 + 4 + 8);
     for (std::size_t s = 0; s < stages; ++s) {
@@ -187,8 +187,8 @@ void encode_holistic_result(ByteWriter& w, const core::HolisticResult& res) {
 
 core::HolisticResult decode_holistic_result(ByteReader& r) {
   core::HolisticResult res;
-  res.converged = r.u8() != 0;
-  res.schedulable = r.u8() != 0;
+  res.converged = r.boolean();
+  res.schedulable = r.boolean();
   res.sweeps = r.i32();
   const std::size_t nflows = r.count(8);
   for (std::size_t f = 0; f < nflows; ++f) {
@@ -197,14 +197,14 @@ core::HolisticResult decode_holistic_result(ByteReader& r) {
     for (std::size_t k = 0; k < nframes; ++k) {
       core::FrameResult frame;
       frame.response = r.time();
-      frame.converged = r.u8() != 0;
-      frame.meets_deadline = r.u8() != 0;
+      frame.converged = r.boolean();
+      frame.meets_deadline = r.boolean();
       const std::size_t nstages = r.count(1 + 4 + 4 + 8 + 1 + 8 + 8 + 8);
       for (std::size_t s = 0; s < nstages; ++s) {
         core::StageResponse st;
         st.stage = decode_stage_key(r);
         st.hop.response = r.time();
-        st.hop.converged = r.u8() != 0;
+        st.hop.converged = r.boolean();
         st.hop.busy_period = r.time();
         st.hop.instances = r.i64();
         st.hop.iterations = r.i64();

@@ -99,6 +99,17 @@ class ByteReader {
     pos_ += 8;
     return v;
   }
+  /// A bool byte: exactly 0 or 1.  Any other value is corruption, not
+  /// "true" — accepting it would decode a stream that re-encodes to
+  /// different bytes.
+  bool boolean() {
+    const std::uint8_t v = u8();
+    if (v > 1) {
+      throw WireError(std::string(what_) + ": invalid bool byte " +
+                      std::to_string(v));
+    }
+    return v != 0;
+  }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   gmfnet::Time time() { return gmfnet::Time(i64()); }

@@ -55,12 +55,15 @@ engine::WhatIfResult decode_what_if(io::ByteReader& r) {
   // Sequence the reads explicitly: C++ leaves function-argument evaluation
   // order unspecified, and all read from the same stream.
   const std::uint8_t flags = r.u8();
+  if ((flags & ~(kWhatIfAdmissible | kWhatIfDetailed)) != 0) {
+    throw ProtocolError("invalid what-if flags " + std::to_string(flags));
+  }
   const bool admissible = (flags & kWhatIfAdmissible) != 0;
   if ((flags & kWhatIfDetailed) != 0) {
     return engine::WhatIfResult::from_full(
         admissible, io::codec::decode_holistic_result(r));
   }
-  const bool converged = r.u8() != 0;
+  const bool converged = r.boolean();
   const auto sweeps = static_cast<int>(r.u64());
   const auto flows = static_cast<std::size_t>(r.u64());
   return engine::WhatIfResult::verdict_only(admissible, converged, sweeps,
@@ -76,10 +79,12 @@ Role decode_role(io::ByteReader& r) {
   return static_cast<Role>(v);
 }
 
+/// A DELTA frame is a checkpoint or a commit group; admit/remove appear
+/// only as ops inside a group.
 DeltaKind decode_delta_kind(io::ByteReader& r) {
   const std::uint8_t v = r.u8();
-  if (v < static_cast<std::uint8_t>(DeltaKind::kAdmit) ||
-      v > static_cast<std::uint8_t>(DeltaKind::kBatch)) {
+  if (v != static_cast<std::uint8_t>(DeltaKind::kRestore) &&
+      v != static_cast<std::uint8_t>(DeltaKind::kBatch)) {
     throw ProtocolError("invalid delta kind " + std::to_string(v));
   }
   return static_cast<DeltaKind>(v);
@@ -164,27 +169,18 @@ struct BodyEncoder {
     w.u64(m.seq);
     w.u64(m.flows_after);
     // Only the active payload rides the wire (tagged union by `kind`).
-    switch (m.kind) {
-      case DeltaKind::kAdmit:
-        io::codec::encode_flow(w, m.flow);
-        break;
-      case DeltaKind::kRemove:
-        w.u64(m.index);
-        break;
-      case DeltaKind::kRestore:
-        w.str(m.checkpoint);
-        break;
-      case DeltaKind::kBatch:
-        w.u64(m.ops.size());
-        for (const DeltaOp& op : m.ops) {
-          w.u8(static_cast<std::uint8_t>(op.kind));
-          if (op.kind == DeltaKind::kAdmit) {
-            io::codec::encode_flow(w, op.flow);
-          } else {
-            w.u64(op.index);
-          }
-        }
-        break;
+    if (m.kind == DeltaKind::kRestore) {
+      w.str(m.checkpoint);
+      return;
+    }
+    w.u64(m.ops.size());
+    for (const DeltaOp& op : m.ops) {
+      w.u8(static_cast<std::uint8_t>(op.kind));
+      if (op.kind == DeltaKind::kAdmit) {
+        io::codec::encode_flow(w, op.flow);
+      } else {
+        w.u64(op.index);
+      }
     }
   }
   void operator()(const PromoteResponse& m) { w.u64(m.epoch); }
@@ -221,7 +217,7 @@ Request decode_request_body(MsgType type, io::ByteReader& r) {
       return RemoveRequest{r.u64()};
     case MsgType::kWhatIfBatchRequest: {
       WhatIfBatchRequest m;
-      m.verdict_only = r.u8() != 0;
+      m.verdict_only = r.boolean();
       const std::size_t n = r.count(8 + 8 + 8 + 1 + 8);  // min encoded flow
       m.candidates.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -273,11 +269,11 @@ Response decode_response_body(MsgType type, io::ByteReader& r) {
   switch (type) {
     case MsgType::kAdmitResponse: {
       AdmitResponse m;
-      if (r.u8() != 0) m.result = io::codec::decode_holistic_result(r);
+      if (r.boolean()) m.result = io::codec::decode_holistic_result(r);
       return m;
     }
     case MsgType::kRemoveResponse:
-      return RemoveResponse{r.u8() != 0};
+      return RemoveResponse{r.boolean()};
     case MsgType::kWhatIfBatchResponse: {
       WhatIfBatchResponse m;
       // Min encoded what-if: flags + lean converged/sweeps/flow_count.
@@ -330,33 +326,23 @@ Response decode_response_body(MsgType type, io::ByteReader& r) {
       m.epoch = r.u64();
       m.seq = r.u64();
       m.flows_after = r.u64();
-      switch (m.kind) {
-        case DeltaKind::kAdmit:
-          m.flow = io::codec::decode_flow(r);
-          break;
-        case DeltaKind::kRemove:
-          m.index = r.u64();
-          break;
-        case DeltaKind::kRestore:
-          m.checkpoint = r.str();
-          break;
-        case DeltaKind::kBatch: {
-          const std::size_t n = r.count(1 + 8);  // min op: kind + index
-          m.ops.reserve(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            DeltaOp op;
-            op.kind = decode_delta_kind(r);
-            if (op.kind == DeltaKind::kAdmit) {
-              op.flow = io::codec::decode_flow(r);
-            } else if (op.kind == DeltaKind::kRemove) {
-              op.index = r.u64();
-            } else {
-              throw ProtocolError("invalid op kind inside batch delta");
-            }
-            m.ops.push_back(std::move(op));
-          }
-          break;
+      if (m.kind == DeltaKind::kRestore) {
+        m.checkpoint = r.str();
+        return m;
+      }
+      const std::size_t n = r.count(1 + 8);  // min op: kind + index
+      m.ops.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        DeltaOp op;
+        op.kind = static_cast<DeltaKind>(r.u8());
+        if (op.kind == DeltaKind::kAdmit) {
+          op.flow = io::codec::decode_flow(r);
+        } else if (op.kind == DeltaKind::kRemove) {
+          op.index = r.u64();
+        } else {
+          throw ProtocolError("invalid op kind inside batch delta");
         }
+        m.ops.push_back(std::move(op));
       }
       return m;
     }
@@ -365,11 +351,11 @@ Response decode_response_body(MsgType type, io::ByteReader& r) {
     case MsgType::kRoleResponse: {
       RoleResponse m;
       m.role = decode_role(r);
-      m.fenced = r.u8() != 0;
+      m.fenced = r.boolean();
       m.epoch = r.u64();
       m.commit_seq = r.u64();
       m.primary_addr = r.str();
-      m.connected = r.u8() != 0;
+      m.connected = r.boolean();
       m.full_syncs = r.u64();
       m.deltas_applied = r.u64();
       m.subscribers = r.u64();

@@ -53,9 +53,10 @@
 //   (any request)                        -> ERROR { message } on failure
 //
 //   DELTA frames are pushed primary -> replica on a subscribed connection:
-//   one frame per committed mutation, carrying (epoch, commit_seq), the
-//   operation bytes (io/codec encodings — the same bytes a checkpoint
-//   section would hold) and the expected post-apply resident count.
+//   one frame per commit group (or restore), carrying (epoch, commit_seq),
+//   the ordered admit/remove ops (io/codec encodings — the same bytes a
+//   checkpoint section would hold) or the checkpoint, and the expected
+//   post-apply resident count.
 #pragma once
 
 #include <cstdint>
@@ -85,10 +86,12 @@ class ProtocolError : public io::WireError {
 
 /// Frame constants, shared with tests that forge malformed frames.
 inline constexpr char kMagic[8] = {'G', 'M', 'F', 'N', 'R', 'P', 'C', '1'};
-/// Version 2 dropped the solver fields from STATS.  Every frame carries the
-/// version and peers reject any other, so an old client fails loudly
-/// instead of misreading the positional STATS layout.
-inline constexpr std::uint32_t kVersion = 2;
+/// Version 2 dropped the solver fields from STATS; version 3 dropped the
+/// top-level admit/remove DELTA shapes (every mutation replicates as a
+/// kBatch commit group).  Every frame carries the version and peers reject
+/// any other, so a mixed-version pair fails loudly instead of misreading a
+/// positional layout.
+inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::size_t kVersionOffset = 8;
 inline constexpr std::size_t kTypeOffset = 12;
 inline constexpr std::size_t kBodyLenOffset = 16;
@@ -138,14 +141,18 @@ enum class Role : std::uint8_t {
   kReplica = 2,  ///< follows a primary, serves reads from its snapshots
 };
 
-/// The kind of committed mutation a DELTA frame carries.
+/// DELTA frame kinds and the op kinds inside a commit group.  A DELTA frame
+/// is either a checkpoint (kRestore) or an ordered list of admit/remove ops
+/// (kBatch); kAdmit/kRemove appear only as DeltaOp kinds, and strict decode
+/// rejects them at the top level.
 enum class DeltaKind : std::uint8_t {
-  kAdmit = 1,    ///< body: io/codec flow encoding (the admitted flow)
-  kRemove = 2,   ///< body: u64 resident index
-  kRestore = 3,  ///< body: a complete PR 4 checkpoint stream
-  kBatch = 4,    ///< body: a coalesced sequence of admit/remove ops that
-                 ///< committed as ONE engine commit on the primary; replicas
-                 ///< apply the whole sequence before checking flows_after
+  kAdmit = 1,    ///< op body: io/codec flow encoding (the admitted flow)
+  kRemove = 2,   ///< op body: u64 resident index
+  kRestore = 3,  ///< frame body: a complete io/checkpoint stream
+  kBatch = 4,    ///< frame body: the admit/remove ops of ONE commit group
+                 ///< on the primary (a solo ADMIT/REMOVE is a group of
+                 ///< one); replicas apply the whole sequence, evaluate
+                 ///< once, then check flows_after
 };
 
 // ------------------------------------------------------------- requests --
@@ -264,26 +271,24 @@ struct SyncFullResponse {
   std::uint64_t history = 0;       ///< the primary's history token
   std::string checkpoint;          ///< a complete io/checkpoint stream
 };
-/// One committed mutation, pushed primary -> replica on a subscribed
-/// connection.  `seq` values are contiguous per epoch; `flows_after` is the
-/// resident flow count after applying — a cheap divergence tripwire on top
-/// of the per-frame checksum.
 /// One element of a kBatch delta: an admit (flow) or a remove (index) that
-/// was part of a coalesced commit group.
+/// was part of a commit group.
 struct DeltaOp {
   DeltaKind kind = DeltaKind::kAdmit;  ///< kAdmit or kRemove only
   gmf::Flow flow;                      ///< kAdmit payload
   std::uint64_t index = 0;             ///< kRemove payload
 };
+/// One committed commit group (or restore), pushed primary -> replica on a
+/// subscribed connection.  `seq` values are contiguous per epoch;
+/// `flows_after` is the resident flow count after applying — a cheap
+/// divergence tripwire on top of the per-frame checksum.
 struct DeltaResponse {
-  DeltaKind kind = DeltaKind::kAdmit;
+  DeltaKind kind = DeltaKind::kBatch;  ///< kBatch or kRestore only
   std::uint64_t epoch = 0;
   std::uint64_t seq = 0;
   std::uint64_t flows_after = 0;
-  gmf::Flow flow;               ///< kAdmit payload
-  std::uint64_t index = 0;      ///< kRemove payload
-  std::string checkpoint;       ///< kRestore payload
-  std::vector<DeltaOp> ops;     ///< kBatch payload (in commit order)
+  std::string checkpoint;    ///< kRestore payload
+  std::vector<DeltaOp> ops;  ///< kBatch payload (in commit order)
 };
 struct PromoteResponse {
   std::uint64_t epoch = 0;  ///< the freshly fenced epoch

@@ -1,8 +1,9 @@
 // Checkpoint-shipping replication for gmfnetd: a primary journals every
-// committed mutation as a DELTA frame keyed by a monotonic
-// (epoch, commit_seq) and streams the journal to subscribed replicas; a
-// replica bootstraps from a full checkpoint (SYNC_FULL — the PR 4
-// on-disk format, shipped over the wire) and then applies the delta tail.
+// commit group (a lone mutation is a group of one) as a DELTA frame keyed
+// by a monotonic (epoch, commit_seq) and streams the journal to subscribed
+// replicas; a replica bootstraps from a full checkpoint (SYNC_FULL — the
+// io/checkpoint on-disk format, shipped over the wire) and then applies the
+// delta tail.
 //
 // The pieces:
 //

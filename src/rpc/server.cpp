@@ -71,6 +71,20 @@ bool coalescable(const Request& req) {
          std::holds_alternative<AdmitBatchRequest>(req);
 }
 
+/// One WHAT_IF_BATCH candidate probed against `snap`.  Verdict-only probes
+/// strip the O(world) payload before encoding: serializing the full
+/// HolisticResult deep-copies every resident's FlowResult and dominates the
+/// probe itself on large worlds.
+engine::WhatIfResult probe_for_wire(const engine::EngineSnapshot& snap,
+                                    const gmf::Flow& candidate,
+                                    engine::ProbeScratch& scratch,
+                                    bool verdict_only) {
+  engine::WhatIfResult wi = snap.what_if(candidate, scratch);
+  if (!verdict_only) return wi;
+  return engine::WhatIfResult::verdict_only(wi.admissible, wi.converged(),
+                                            wi.sweeps(), wi.flow_count());
+}
+
 }  // namespace
 
 Server::Server(std::shared_ptr<engine::AnalysisEngine> engine,
@@ -544,16 +558,8 @@ void Server::dispatch_what_if(std::uint64_t conn_id, std::uint64_t seq,
       WhatIfBatchResponse out;
       out.results.reserve(req.candidates.size());
       for (const gmf::Flow& cand : req.candidates) {
-        engine::WhatIfResult wi = snap->what_if(cand, lease.get());
-        // Verdict-only probes strip the O(world) payload before encoding:
-        // serializing the full HolisticResult deep-copies every resident's
-        // FlowResult and dominates the probe itself on large worlds.
         out.results.push_back(
-            req.verdict_only
-                ? engine::WhatIfResult::verdict_only(
-                      wi.admissible, wi.converged(), wi.sweeps(),
-                      wi.flow_count())
-                : std::move(wi));
+            probe_for_wire(*snap, cand, lease.get(), req.verdict_only));
       }
       resp = std::move(out);
     } catch (const std::exception& e) {
@@ -600,15 +606,9 @@ void Server::dispatch_what_if(std::uint64_t conn_id, std::uint64_t seq,
       try {
         const engine::ProbeScratchPool::Lease lease = conn_scratch_.acquire();
         for (std::size_t i = begin; i < end; ++i) {
-          engine::WhatIfResult wi =
-              job->snap->what_if(job->candidates[i], lease.get());
           // Strip the O(world) payload on the worker, not the reactor.
-          job->results[i] =
-              job->verdict_only
-                  ? engine::WhatIfResult::verdict_only(
-                        wi.admissible, wi.converged(), wi.sweeps(),
-                        wi.flow_count())
-                  : std::move(wi);
+          job->results[i] = probe_for_wire(*job->snap, job->candidates[i],
+                                           lease.get(), job->verdict_only);
         }
       } catch (const std::exception& e) {
         std::lock_guard<std::mutex> lock(job->err_mu);
@@ -958,54 +958,9 @@ void Server::exec_group(std::vector<PendingOp>&& ops) {
         out.push_back(Completion{op.conn_id, op.seq,
                                  encode_response(Response{np})});
       }
-    } else if (ops.size() == 1 &&
-               std::holds_alternative<AdmitRequest>(ops.front().req)) {
-      // Solo ADMIT: the classic path, bit-identical journal + response.
-      PendingOp& op = ops.front();
-      auto& m = std::get<AdmitRequest>(op.req);
-      Response resp;
-      try {
-        // try_admit consumes the flow; the journal needs its bytes.
-        gmf::Flow journal_flow = m.flow;
-        AdmitResponse admit{engine()->try_admit(std::move(m.flow))};
-        if (admit.result.has_value()) {
-          DeltaResponse delta;
-          delta.kind = DeltaKind::kAdmit;
-          delta.flow = std::move(journal_flow);
-          journal_commit_locked(std::move(delta));
-          note_mutation_locked();
-        }
-        resp = std::move(admit);
-      } catch (const std::exception& e) {
-        resp = ErrorResponse{e.what()};
-      }
-      out.push_back(Completion{op.conn_id, op.seq, encode_response(resp)});
-    } else if (ops.size() == 1 &&
-               std::holds_alternative<RemoveRequest>(ops.front().req)) {
-      // Solo REMOVE: classic path — remove, re-evaluate, journal.
-      PendingOp& op = ops.front();
-      const auto& m = std::get<RemoveRequest>(op.req);
-      Response resp;
-      try {
-        const std::shared_ptr<engine::AnalysisEngine> eng = engine();
-        const bool removed =
-            eng->remove_flow(static_cast<std::size_t>(m.index));
-        if (removed) {
-          (void)eng->evaluate();
-          DeltaResponse delta;
-          delta.kind = DeltaKind::kRemove;
-          delta.index = m.index;
-          journal_commit_locked(std::move(delta));
-          note_mutation_locked();
-        }
-        resp = RemoveResponse{removed};
-      } catch (const std::exception& e) {
-        resp = ErrorResponse{e.what()};
-      }
-      out.push_back(Completion{op.conn_id, op.seq, encode_response(resp)});
     } else {
-      // Coalesced group (or a single ADMIT_BATCH, which IS a group): one
-      // engine commit group, one snapshot publish, one journal frame.
+      // One engine commit group (a solo ADMIT/REMOVE is a group of one):
+      // one snapshot publish, one journal frame.
       struct OpResult {
         enum class Kind { kAdmit, kRemove, kBatch, kError } kind =
             Kind::kError;
@@ -1018,17 +973,15 @@ void Server::exec_group(std::vector<PendingOp>&& ops) {
       DeltaResponse delta;
       delta.kind = DeltaKind::kBatch;
       std::size_t committed = 0;
-      eng->begin_batch();
       for (std::size_t i = 0; i < ops.size(); ++i) {
         OpResult& r = results[i];
         try {
           if (auto* admit = std::get_if<AdmitRequest>(&ops[i].req)) {
             r.kind = OpResult::Kind::kAdmit;
-            gmf::Flow journal_flow = admit->flow;
-            r.ok = eng->try_admit_lean(std::move(admit->flow));
+            r.ok = eng->try_admit_lean(admit->flow);
             if (r.ok) {
-              delta.ops.push_back(DeltaOp{DeltaKind::kAdmit,
-                                          std::move(journal_flow), 0});
+              delta.ops.push_back(
+                  DeltaOp{DeltaKind::kAdmit, std::move(admit->flow), 0});
               ++committed;
             }
           } else if (auto* rem = std::get_if<RemoveRequest>(&ops[i].req)) {
@@ -1044,12 +997,11 @@ void Server::exec_group(std::vector<PendingOp>&& ops) {
             r.kind = OpResult::Kind::kBatch;
             r.bits.reserve(batch.flows.size());
             for (gmf::Flow& flow : batch.flows) {
-              gmf::Flow journal_flow = flow;
-              const bool ok = eng->try_admit_lean(std::move(flow));
+              const bool ok = eng->try_admit_lean(flow);
               r.bits.push_back(ok ? 1 : 0);
               if (ok) {
-                delta.ops.push_back(DeltaOp{DeltaKind::kAdmit,
-                                            std::move(journal_flow), 0});
+                delta.ops.push_back(
+                    DeltaOp{DeltaKind::kAdmit, std::move(flow), 0});
                 ++committed;
               }
             }
@@ -1062,7 +1014,7 @@ void Server::exec_group(std::vector<PendingOp>&& ops) {
       const core::HolisticResult* final_result = nullptr;
       std::string end_error;
       try {
-        final_result = &eng->end_batch();
+        final_result = &eng->evaluate();
       } catch (const std::exception& e) {
         end_error = e.what();
       }
@@ -1374,44 +1326,26 @@ ApplyResult Server::replica_apply(const DeltaResponse& delta) {
     return ApplyResult::kGap;
   }
   const std::shared_ptr<engine::AnalysisEngine> eng = engine();
-  switch (delta.kind) {
-    case DeltaKind::kAdmit:
-      // The primary only journals flows try_admit COMMITTED, and the
-      // engine is deterministic: add_flow + evaluate reproduces the
-      // primary's post-admission world bit for bit (the equivalence
-      // guarantee the engine test suite holds it to).
-      (void)eng->add_flow(delta.flow);
-      (void)eng->evaluate();
-      break;
-    case DeltaKind::kRemove:
-      if (!eng->remove_flow(static_cast<std::size_t>(delta.index))) {
+  if (delta.kind == DeltaKind::kRestore) {
+    std::istringstream is(delta.checkpoint);
+    std::shared_ptr<engine::AnalysisEngine> fresh =
+        engine::AnalysisEngine::restore_unique(is, cfg_.engine_opts);
+    std::atomic_store(&engine_, std::move(fresh));
+  } else {
+    // A commit group: apply the ops in order, evaluate ONCE at the end —
+    // the replica coalesces exactly like its primary did.  The primary
+    // only journals flows its admission test COMMITTED, and the engine is
+    // deterministic: add_flow + evaluate reproduces the primary's
+    // post-group world bit for bit (the equivalence guarantee the engine
+    // test suite holds it to).
+    for (const DeltaOp& op : delta.ops) {
+      if (op.kind == DeltaKind::kAdmit) {
+        (void)eng->add_flow(op.flow);
+      } else if (!eng->remove_flow(static_cast<std::size_t>(op.index))) {
         return ApplyResult::kGap;  // divergence — resync
       }
-      (void)eng->evaluate();
-      break;
-    case DeltaKind::kRestore: {
-      std::istringstream is(delta.checkpoint);
-      std::shared_ptr<engine::AnalysisEngine> fresh =
-          engine::AnalysisEngine::restore_unique(is, cfg_.engine_opts);
-      std::atomic_store(&engine_, std::move(fresh));
-      break;
     }
-    case DeltaKind::kBatch:
-      // A coalesced commit group: apply the ops in order, evaluate ONCE
-      // at the end — the replica coalesces exactly like its primary did.
-      for (const DeltaOp& op : delta.ops) {
-        if (op.kind == DeltaKind::kAdmit) {
-          (void)eng->add_flow(op.flow);
-        } else if (op.kind == DeltaKind::kRemove) {
-          if (!eng->remove_flow(static_cast<std::size_t>(op.index))) {
-            return ApplyResult::kGap;  // divergence — resync
-          }
-        } else {
-          return ApplyResult::kGap;  // malformed group — resync
-        }
-      }
-      (void)eng->evaluate();
-      break;
+    (void)eng->evaluate();
   }
   if (engine()->flow_count() != delta.flows_after) {
     // Tripwire: local state disagrees with the primary's after-image.

@@ -32,9 +32,9 @@
 //    worker drains its queue in arrival order and COALESCES adjacent
 //    ADMIT / REMOVE / ADMIT_BATCH frames that queued up while the
 //    previous commit was in flight into a single engine commit group
-//    (AnalysisEngine::begin_batch / try_admit_lean / end_batch): one
-//    snapshot publish and one replication DELTA frame per group instead
-//    of one per mutation.  A group of one uses the exact classic path.
+//    (AnalysisEngine::try_admit_lean / remove_flow, then one evaluate):
+//    one snapshot publish and one replication DELTA frame per group
+//    instead of one per mutation.  A lone mutation is a group of one.
 //    Non-coalescable mutations (RESTORE, SAVE_CHECKPOINT, PROMOTE, ROLE,
 //    REPOINT, SUBSCRIBE setup, SHUTDOWN) are barriers: they split groups
 //    and execute alone.  All of it under the same writer mutex the
@@ -79,8 +79,8 @@
 //
 // Replication (rpc/replication.hpp has the full protocol story):
 //
-//  * A primary stamps every committed mutation (or coalesced group, as
-//    one kBatch delta) with (epoch, commit_seq), journals it as a
+//  * A primary stamps every commit group (one kBatch delta; a lone
+//    mutation is a group of one) with (epoch, commit_seq), journals it as a
 //    pre-encoded DELTA frame, and streams the journal to SUBSCRIBE
 //    connections.  Subscriber streams are reactor-managed long-lived
 //    writers: the reactor pumps journal frames into their write buffers

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/priority.hpp"
@@ -310,6 +311,33 @@ TEST_F(CheckpointMalformed, ForwardIncompatibleVersionRejected) {
       FAIL() << "expected CheckpointError for version " << version;
     } catch (const io::CheckpointError& e) {
       EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    }
+  }
+}
+
+TEST_F(CheckpointMalformed, NonBooleanFlagByteRejected) {
+  // A bool byte other than 0/1 inside a correctly checksummed payload is
+  // corruption, not "true".  The payload opens with the engine section
+  // (u32 id, u64 length), whose first byte is the shard_by_domain flag and
+  // whose 26th is the charge_self_circ flag.  The checksum is re-stamped,
+  // so only the bool check can reject.
+  constexpr std::size_t kEngineBody = io::ckpt::kHeaderSize + 4 + 8;
+  for (const std::size_t at : {kEngineBody, kEngineBody + 1 + 8 + 8 + 8}) {
+    std::string bad = blob_;
+    ASSERT_EQ(bad[at], 1) << "offset " << at << " is not a set flag";
+    bad[at] = 2;
+    const std::uint64_t sum = io::fnv1a(
+        std::string_view(bad).substr(io::ckpt::kHeaderSize));
+    for (std::size_t i = 0; i < 8; ++i) {
+      bad[io::ckpt::kChecksumOffset + i] =
+          static_cast<char>((sum >> (8 * i)) & 0xFF);
+    }
+    try {
+      (void)restore_from(bad);
+      FAIL() << "expected CheckpointError at offset " << at;
+    } catch (const io::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("bool"), std::string::npos)
+          << e.what();
     }
   }
 }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,7 +72,8 @@ void expect_bit_identical(const core::HolisticResult& inc,
 /// Drives one scenario through the engine and compares every step bit for
 /// bit with a cold rebuild: incremental adds, random removals (the
 /// reset-dirty-component path), a re-add (warm start over a shrunk fixed
-/// point), envelope parity, and what-if probes (single and batched).
+/// point), envelope parity, what-if probes (single and batched), and a
+/// mixed commit group against sequential commits.
 void check_scenario(const net::Network& net,
                     const std::vector<gmf::Flow>& flows, Rng& rng,
                     const std::string& tag) {
@@ -125,6 +127,49 @@ void check_scenario(const net::Network& net,
                          tag + " what-if candidate " + std::to_string(i));
   }
   EXPECT_EQ(eng.flow_count(), mirror.size());
+
+  // A commit group — try_admit_lean / remove_flow, then ONE evaluate() —
+  // against a second engine committing the same ops one at a time
+  // (try_admit, remove_flow + evaluate).  The group opens on a current
+  // result (the first admit probes the published snapshot); later admits
+  // probe the pending state, back to back after a commit and after the
+  // 1 us-deadline flow, which is always rejected.
+  AnalysisEngine seq(net);
+  for (const gmf::Flow& f : mirror) seq.add_flow(f);
+  (void)seq.evaluate();
+  const std::size_t published_before = eng.published()->flow_count();
+  const gmf::Flow hopeless = gmf::make_sporadic_flow(
+      "hopeless", flows[0].route(), gmfnet::Time::ms(1), gmfnet::Time::us(1),
+      1500 * 8, flows[0].priority());
+  // nullopt = remove a random resident.
+  const std::vector<std::optional<gmf::Flow>> group = {
+      flows.back(),           std::nullopt, hopeless,    flows[0],
+      flows[flows.size() / 2], std::nullopt, flows.back()};
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    const std::string op = tag + " group op " + std::to_string(k);
+    if (group[k].has_value()) {
+      const bool lean = eng.try_admit_lean(*group[k]);
+      ASSERT_EQ(lean, seq.try_admit(*group[k]).has_value()) << op;
+      if (k == 2) {
+        EXPECT_FALSE(lean) << op << " (1 us deadline)";
+      }
+      if (lean) mirror.push_back(*group[k]);
+    } else if (mirror.size() > 1) {
+      const auto idx =
+          static_cast<std::size_t>(rng.next_below(mirror.size()));
+      ASSERT_TRUE(eng.remove_flow(idx)) << op;
+      ASSERT_TRUE(seq.remove_flow(idx)) << op;
+      (void)seq.evaluate();
+      mirror.erase(mirror.begin() + static_cast<std::ptrdiff_t>(idx));
+    }
+  }
+  // Readers see the pre-group world until the group's evaluate().
+  EXPECT_EQ(eng.published()->flow_count(), published_before);
+  const core::HolisticResult grouped = eng.evaluate();
+  EXPECT_EQ(eng.published()->flow_count(), mirror.size());
+  expect_bit_identical(grouped, seq.evaluate(), tag + " group vs sequential");
+  expect_bit_identical(grouped, from_scratch(net, mirror),
+                       tag + " group vs from-scratch");
 }
 
 class EngineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};

@@ -520,10 +520,10 @@ TEST(Replication, ClientRejectsStaleAnswersFromNonFencingPrimary) {
           send_frame(peer,
                      encode_response(Response{SubscribeResponse{3, 5}}));
           DeltaResponse delta;
-          delta.kind = DeltaKind::kRemove;
+          delta.kind = DeltaKind::kBatch;
           delta.epoch = 1;
           delta.seq = 5;
-          delta.index = 0;
+          delta.ops.push_back(DeltaOp{DeltaKind::kRemove, gmf::Flow{}, 0});
           send_frame(peer, encode_response(Response{delta}));
           // Hold the stream open until the client reacts and drops it.
           std::string sink;

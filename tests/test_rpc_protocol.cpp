@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/context.hpp"
@@ -87,18 +88,19 @@ std::vector<std::string> representative_response_frames() {
   sr.epoch = 3;
   sr.commit_seq = 99;
   sr.uptime_ms = 123'456;
+  // A lone ADMIT / REMOVE replicates as a commit group of one.
   DeltaResponse admit_delta;
-  admit_delta.kind = DeltaKind::kAdmit;
+  admit_delta.kind = DeltaKind::kBatch;
   admit_delta.epoch = 2;
   admit_delta.seq = 17;
   admit_delta.flows_after = 5;
-  admit_delta.flow = w.flows[1];
+  admit_delta.ops.push_back(DeltaOp{DeltaKind::kAdmit, w.flows[1], 0});
   DeltaResponse remove_delta;
-  remove_delta.kind = DeltaKind::kRemove;
+  remove_delta.kind = DeltaKind::kBatch;
   remove_delta.epoch = 2;
   remove_delta.seq = 18;
   remove_delta.flows_after = 4;
-  remove_delta.index = 3;
+  remove_delta.ops.push_back(DeltaOp{DeltaKind::kRemove, gmf::Flow{}, 3});
   DeltaResponse restore_delta;
   restore_delta.kind = DeltaKind::kRestore;
   restore_delta.epoch = 2;
@@ -352,17 +354,89 @@ TEST(RpcProtocol, InvalidEnumValuesInWellFramedBodiesRejected) {
   sr.role = static_cast<Role>(9);
   EXPECT_THROW((void)decode_response(encode_response(sr)), ProtocolError);
 
-  DeltaResponse d;
-  d.kind = static_cast<DeltaKind>(0);
-  EXPECT_THROW((void)decode_response(encode_response(d)), ProtocolError);
-  d.kind = static_cast<DeltaKind>(77);
-  EXPECT_THROW((void)decode_response(encode_response(d)), ProtocolError);
+  // A DELTA frame is a checkpoint or a commit group.  kAdmit/kRemove are
+  // op kinds only: the v2 single-mutation frames are rejected.
+  for (const std::uint8_t kind : {0, 1, 2, 77}) {
+    DeltaResponse d;
+    d.kind = static_cast<DeltaKind>(kind);
+    d.ops.push_back(DeltaOp{DeltaKind::kRemove, gmf::Flow{}, 0});
+    try {
+      (void)decode_response(encode_response(d));
+      FAIL() << "expected ProtocolError for delta kind " << int{kind};
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("delta kind"), std::string::npos);
+    }
+  }
+
+  // Inside a commit group, an op is an admit or a remove — nothing else.
+  for (const std::uint8_t op_kind : {0, 3, 4, 77}) {
+    DeltaResponse g;
+    g.kind = DeltaKind::kBatch;
+    g.ops.push_back(
+        DeltaOp{static_cast<DeltaKind>(op_kind), gmf::Flow{}, 1});
+    EXPECT_THROW((void)decode_response(encode_response(g)), ProtocolError)
+        << "op kind " << int{op_kind};
+  }
+
+  // Bool bytes are exactly 0/1, and what-if flags carry only the defined
+  // bits.  Each case re-stamps the checksum, so only the value check can
+  // reject; the same byte set to a valid value decodes.
+  const auto corrupt = [](std::string frame, std::size_t body_off,
+                          std::uint8_t v) {
+    frame[kHeaderSize + body_off] = static_cast<char>(v);
+    patch_u64(frame, kChecksumOffset,
+              io::fnv1a(std::string_view(frame).substr(kHeaderSize)));
+    return frame;
+  };
+  struct Case {
+    std::string frame;
+    std::size_t body_off;
+    std::uint8_t bad = 2;
+  };
+  World& w = world();
+  const gmf::Flow& f = w.flows[0];
+  const std::vector<Case> requests = {
+      // WhatIfBatchRequest: the verdict_only flag is body byte 0.
+      {encode_request(WhatIfBatchRequest{w.flows, true}), 0},
+      // AdmitRequest: the flow's rtp flag follows name, hops and priority.
+      {encode_request(AdmitRequest{f}),
+       8 + f.name().size() + 8 + 4 * f.route().nodes().size() + 8},
+  };
+  for (const Case& c : requests) {
+    EXPECT_NO_THROW((void)decode_request(corrupt(c.frame, c.body_off, 1)));
+    EXPECT_THROW((void)decode_request(corrupt(c.frame, c.body_off, c.bad)),
+                 ProtocolError)
+        << "body offset " << c.body_off;
+  }
+  RoleResponse role;
+  role.fenced = true;
+  const std::string lean_what_if = encode_response(WhatIfBatchResponse{
+      {engine::WhatIfResult::verdict_only(true, true, 3, 4)}});
+  const std::vector<Case> responses = {
+      {encode_response(RemoveResponse{true}), 0},
+      {encode_response(AdmitResponse{std::nullopt}), 0, 2},
+      // AdmitResponse: presence byte, then HolisticResult.converged.
+      {encode_response(AdmitResponse{w.result}), 1},
+      {encode_response(role), 1},  // role byte, then fenced
+      // WhatIfBatchResponse: u64 count, flags, then the lean converged.
+      {lean_what_if, 8 + 1},
+      {lean_what_if, 8, 0x81},
+  };
+  for (const Case& c : responses) {
+    if (c.frame[kHeaderSize + c.body_off] == 1) {
+      EXPECT_NO_THROW((void)decode_response(corrupt(c.frame, c.body_off, 1)));
+    }
+    EXPECT_THROW((void)decode_response(corrupt(c.frame, c.body_off, c.bad)),
+                 ProtocolError)
+        << "body offset " << c.body_off;
+  }
 }
 
 TEST(RpcProtocol, ForwardIncompatibleVersionRejected) {
-  // The next version, and version 1 (whose STATS body still carried the
-  // solver fields): an old peer fails loudly instead of misreading them.
-  for (const std::uint32_t version : {kVersion + 1, 1u}) {
+  // The next version, version 1 (whose STATS body still carried the solver
+  // fields) and version 2 (top-level admit/remove DELTA frames): an old
+  // peer fails loudly instead of misreading them.
+  for (const std::uint32_t version : {kVersion + 1, 1u, 2u}) {
     std::string bad = encode_request(StatsRequest{});
     bad[kVersionOffset] = static_cast<char>(version);
     try {
