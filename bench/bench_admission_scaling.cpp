@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/campus_topology.hpp"
@@ -150,6 +151,9 @@ int main(int argc, char** argv) {
     json.add("incremental_us", incremental_us);
     json.add("speedup", speedup);
     json.add("verdicts_agree", size_agree);
+    json.add("hw_threads",
+             static_cast<int>(std::thread::hardware_concurrency()));
+    json.add("compiler", std::string(GMFNET_COMPILER));
   }
   t.print();
 
@@ -173,15 +177,6 @@ int main(int argc, char** argv) {
   (void)mono.evaluate();
   std::printf("engine discovered %zu locality domains\n",
               sharded.shard_count());
-
-  // Untimed warm-up: the first probe against each locality domain builds
-  // the engine's writer scratch entry (mono has one domain, sharded four);
-  // timing those builds would charge the sharded path 4x the one-off setup.
-  for (int p = 0; p < kFourCells; ++p) {
-    const gmf::Flow warm = hub_flow(hub, kFourCells, kFourResidents + p);
-    (void)mono.what_if(warm);
-    (void)sharded.what_if(warm);
-  }
 
   std::vector<double> fs_s, mono_s, shard_s;
   bool hub_agree = true;
@@ -247,6 +242,9 @@ int main(int argc, char** argv) {
   json.add("speedup", hub_speedup);
   json.add("speedup_vs_mono", vs_mono);
   json.add("verdicts_agree", hub_agree);
+  json.add("hw_threads",
+           static_cast<int>(std::thread::hardware_concurrency()));
+  json.add("compiler", std::string(GMFNET_COMPILER));
 
   csv.save("bench_admission_scaling.csv");
   if (json.save()) {

@@ -1,8 +1,7 @@
 // Concurrent what-if throughput and latency: N reader threads issuing
 // admission probes against the engine's published snapshot
-// (EngineSnapshot::what_if — the lock-free RCU read path), each reusing
-// its own ProbeScratch so repeated probes skip the per-probe context
-// assembly entirely.
+// (EngineSnapshot::what_if — the lock-free RCU read path); every probe
+// assembles its touched-shard base afresh from the snapshot it probes.
 //
 // Topology: the 8-cell campus of bench_admission_scaling with 256 resident
 // flows on rotating host pairs — many small locality domains, so probes
@@ -18,8 +17,8 @@
 //
 //   $ ./bench_concurrent_whatif [ms_per_point]
 //
-// Emits BENCH_concurrent_whatif.json ({section, threads, hw_threads, qps,
-// speedup, p50_us, p99_us}).  On machines with >= 8 hardware threads the
+// Emits BENCH_concurrent_whatif.json ({section, threads, hw_threads,
+// compiler, qps, speedup, p50_us, p99_us}).  On machines with >= 8 hardware threads the
 // bench exits non-zero unless readers_only throughput grows monotonically
 // with reader count (5% tolerance) and the 8-reader point is >= 4x the
 // single-reader point; with fewer cores the bars are reported but not
@@ -66,11 +65,11 @@ struct Point {
 };
 
 /// One measurement: `readers` threads probing `eng.published()` for
-/// `ms_per_point` ms, each with its own ProbeScratch.  With `churn`, a
-/// writer thread concurrently admits/removes probe-sized flows (and
-/// republishes after every mutation); verdict checks are skipped in that
-/// mode — the world the probe ran against is a moving target — and
-/// correctness under churn is covered by tests/test_probe_scratch.cpp.
+/// `ms_per_point` ms.  With `churn`, a writer thread concurrently
+/// admits/removes probe-sized flows (and republishes after every
+/// mutation); verdict checks are skipped in that mode — the world the
+/// probe ran against is a moving target — and correctness under churn is
+/// covered by tests/test_engine_shard.cpp.
 Point run_point(engine::AnalysisEngine& eng, const Campus& campus,
                 const std::vector<gmf::Flow>& cands,
                 const std::vector<bool>& expect, int readers,
@@ -84,7 +83,6 @@ Point run_point(engine::AnalysisEngine& eng, const Campus& campus,
   const auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < readers; ++r) {
     threads.emplace_back([&, r] {
-      engine::ProbeScratch scratch;  // reused across this reader's probes
       std::vector<double>& samples = lat[static_cast<std::size_t>(r)];
       samples.reserve(4096);
       std::size_t i = static_cast<std::size_t>(r) * 17;
@@ -93,7 +91,7 @@ Point run_point(engine::AnalysisEngine& eng, const Campus& campus,
         const std::size_t k = i++ % cands.size();
         const auto snap = eng.published();
         const auto p0 = std::chrono::steady_clock::now();
-        const engine::WhatIfResult w = snap->what_if(cands[k], scratch);
+        const engine::WhatIfResult w = snap->what_if(cands[k]);
         const auto p1 = std::chrono::steady_clock::now();
         samples.push_back(
             std::chrono::duration<double, std::micro>(p1 - p0).count());
@@ -195,6 +193,7 @@ int main(int argc, char** argv) {
       json.add("section", std::string(section));
       json.add("threads", readers);
       json.add("hw_threads", static_cast<int>(hw));
+      json.add("compiler", std::string(GMFNET_COMPILER));
       json.add("qps", pt.qps);
       json.add("speedup", speedup);
       json.add("p50_us", pt.p50_us);

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/end_to_end.hpp"
@@ -210,6 +211,9 @@ int main(int argc, char** argv) {
     json.add("envelope_us", em);
     json.add("speedup", speedup);
     json.add("identical", identical);
+    json.add("hw_threads",
+             static_cast<int>(std::thread::hardware_concurrency()));
+    json.add("compiler", std::string(GMFNET_COMPILER));
   }
   t.print();
   std::printf("\n");
@@ -248,6 +252,9 @@ int main(int argc, char** argv) {
     json.add("presorted_us", rm);
     json.add("dedup_us", dm);
     json.add("speedup", rm / dm);
+    json.add("hw_threads",
+             static_cast<int>(std::thread::hardware_concurrency()));
+    json.add("compiler", std::string(GMFNET_COMPILER));
   }
   tc.print();
 

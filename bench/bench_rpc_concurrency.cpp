@@ -765,6 +765,9 @@ int main(int argc, char** argv) {
     json.add("qps", r.qps);
     json.add("p50_ms", r.p50_ms);
     json.add("p99_ms", r.p99_ms);
+    json.add("hw_threads",
+             static_cast<int>(std::thread::hardware_concurrency()));
+    json.add("compiler", std::string(GMFNET_COMPILER));
   };
 
   const auto check_world = [&](const char* section, std::uint64_t remote_flows,

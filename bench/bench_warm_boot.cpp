@@ -28,6 +28,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/campus_topology.hpp"
@@ -142,6 +143,9 @@ int main(int argc, char** argv) {
     json.add("restore_us", r.restore_us);
     json.add("speedup", speedup);
     json.add("identical", r.identical);
+    json.add("hw_threads",
+             static_cast<int>(std::thread::hardware_concurrency()));
+    json.add("compiler", std::string(GMFNET_COMPILER));
     return speedup;
   };
 

@@ -392,12 +392,7 @@ bool AnalysisEngine::remove_flow(std::size_t index) {
 }
 
 void AnalysisEngine::ensure_pool() {
-  if (!pool_) {
-    pool_ = std::make_unique<ThreadPool>();
-    // One probe workspace per parallel_for_slotted slot (workers + the
-    // calling thread's inline slot).
-    batch_scratch_ = std::vector<ProbeScratch>(pool_->size() + 1);
-  }
+  if (!pool_) pool_ = std::make_unique<ThreadPool>();
 }
 
 void AnalysisEngine::assemble_and_publish() {
@@ -493,8 +488,7 @@ std::shared_ptr<const EngineSnapshot> AnalysisEngine::snapshot() {
 WhatIfResult AnalysisEngine::what_if(const gmf::Flow& candidate) {
   (void)evaluate();
   const std::shared_ptr<const EngineSnapshot> snap = published();
-  EngineSnapshot::Probe probe =
-      snap->run_probe(candidate, writer_scratch_, /*retain_ctx=*/false);
+  EngineSnapshot::Probe probe = snap->run_probe(candidate);
   // Untouched shards' flows enter the full result verbatim: count them as
   // reused alongside the clean flows of the probed component.
   probe.rs.flow_results_reused += flow_count() + 1 - probe.to_global.size();
@@ -523,15 +517,15 @@ const core::FlowResult* AnalysisEngine::try_admit_lean(
     if (!lean_snap_) lean_snap_ = build_snapshot();
     snap = lean_snap_;
   }
-  // retain_ctx: an accepted probe is committed wholesale, so its context
-  // (candidate included) and complete local result must leave the scratch.
-  EngineSnapshot::Probe probe =
-      snap->run_probe(candidate, writer_scratch_, /*retain_ctx=*/true);
+  EngineSnapshot::Probe probe = snap->run_probe(candidate);
   // Untouched shards' flows enter the full result verbatim: count them as
   // reused alongside the clean flows of the probed component.
   probe.rs.flow_results_reused += flow_count() + 1 - probe.to_global.size();
   record_run(probe.rs);
   if (!snap->probe_admissible(probe)) return nullptr;
+  // An accepted probe is committed wholesale as a merged shard: its context
+  // already holds the candidate, its result needs the clean flows.
+  snap->complete_local(probe);
   commit_probe(std::move(probe));
   // The committed shard is converged and holds the candidate last.
   return &shards_.back().cache->flows.back();
@@ -542,7 +536,7 @@ void AnalysisEngine::commit_probe(EngineSnapshot::Probe probe) {
   Shard merged;
   merged.to_global = std::move(probe.to_global);
   merged.ctx =
-      std::make_shared<const core::AnalysisContext>(std::move(*probe.ctx));
+      std::make_shared<const core::AnalysisContext>(std::move(probe.ctx));
   merged.cache =
       std::make_shared<const core::HolisticResult>(std::move(probe.local));
   // probe.touched is ascending: erase back-to-front, renumber survivors,
@@ -572,19 +566,13 @@ std::vector<WhatIfResult> AnalysisEngine::evaluate_batch(
 
   const std::shared_ptr<const EngineSnapshot> snap = published();
   ensure_pool();
-  // Each slot owns one ProbeScratch (batch_scratch_ has pool size + 1
-  // entries; slot size() is the single-worker inline path), so repeated
-  // candidates against the same shards reuse a warm probe base.
-  pool_->parallel_for_slotted(
-      candidates.size(), [&](std::size_t slot, std::size_t i) {
-        EngineSnapshot::Probe probe =
-            snap->run_probe(candidates[i], batch_scratch_[slot],
-                            /*retain_ctx=*/false);
-        probe.rs.flow_results_reused +=
-            snap->flow_count() + 1 - probe.to_global.size();
-        record_run(probe.rs);
-        out[i] = snap->finish_probe(std::move(probe));
-      });
+  pool_->parallel_for(candidates.size(), [&](std::size_t i) {
+    EngineSnapshot::Probe probe = snap->run_probe(candidates[i]);
+    probe.rs.flow_results_reused +=
+        snap->flow_count() + 1 - probe.to_global.size();
+    record_run(probe.rs);
+    out[i] = snap->finish_probe(std::move(probe));
+  });
   return out;
 }
 

@@ -332,11 +332,6 @@ class AnalysisEngine {
   /// Accessed only via std::atomic_load / std::atomic_store.
   std::shared_ptr<const EngineSnapshot> published_;
   std::unique_ptr<ThreadPool> pool_;  ///< lazy; batch + shard fan-out
-  /// Reusable probe workspace for the writer thread's what_if/try_admit.
-  ProbeScratch writer_scratch_;
-  /// Per-slot probe workspaces for evaluate_batch's pool fan-out (sized
-  /// pool size + 1 by ensure_pool; slot indexing per parallel_for_slotted).
-  std::vector<ProbeScratch> batch_scratch_;
   AtomicStats stats_;
 };
 

@@ -120,252 +120,125 @@ WhatIfResult WhatIfResult::verdict_only(bool admissible, bool converged,
   return out;
 }
 
-// ------------------------------------------------------- scratch entries --
+// ---------------------------------------------------------------- probes --
 
-ProbeScratch::Entry* EngineSnapshot::find_entry(
-    ProbeScratch& scratch, const std::vector<std::uint32_t>& touched) const {
-  for (ProbeScratch::Entry& e : scratch.entries_) {
-    if (e.ctxs.size() != touched.size()) continue;
-    bool match = true;
-    for (std::size_t k = 0; k < touched.size(); ++k) {
-      const ShardView& s = shards_[touched[k]];
-      if (e.ctxs[k].get() != s.ctx.get() ||
-          e.results[k].get() != s.result.get()) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return &e;
+EngineSnapshot::Probe EngineSnapshot::run_cold_probe(
+    const gmf::Flow& candidate) const {
+  // Some component never converged: there is no fixed point to warm-start
+  // from, so run the whole set + candidate cold, in global order —
+  // bit-identical to the from-scratch analysis.
+  Probe p(core::AnalysisContext::empty_clone(*empty_ctx_));
+  p.rs.ran = true;
+  p.base_converged = false;
+  p.rs.full = true;
+  for (std::size_t g = 0; g < locs_.size(); ++g) {
+    const FlowLoc& loc = locs_[g];
+    p.ctx.adopt_flow_deferred(*shards_[loc.shard].ctx,
+                              net::FlowId(static_cast<std::int32_t>(loc.local)));
+    p.to_global.push_back(net::FlowId(static_cast<std::int32_t>(g)));
   }
-  return nullptr;
+  p.ctx.recompute_all_aggregates();
+  p.ctx.add_flow(candidate);
+  p.to_global.push_back(net::FlowId(static_cast<std::int32_t>(locs_.size())));
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    p.touched.push_back(static_cast<std::uint32_t>(s));
+  }
+  p.local = core::solve_holistic(p.ctx, core::SolveRequest{}, opts_);
+  p.rs.sweeps = static_cast<std::size_t>(p.local.sweeps);
+  p.dirty.assign(p.ctx.flow_count(), true);
+  return p;
 }
 
-ProbeScratch::Entry& EngineSnapshot::build_entry(
-    ProbeScratch& scratch, const std::vector<std::uint32_t>& touched) const {
-  ProbeScratch::Entry e;
-  e.ctxs.reserve(touched.size());
-  e.results.reserve(touched.size());
-  for (const std::uint32_t s : touched) {
-    e.ctxs.push_back(shards_[s].ctx);
-    e.results.push_back(shards_[s].result);
+EngineSnapshot::Probe EngineSnapshot::run_probe(
+    const gmf::Flow& candidate) const {
+  // Surface malformed candidates before any assembly work.
+  candidate.validate(network());
+
+  for (const ShardView& s : shards_) {
+    if (!s.result || !s.result->converged) return run_cold_probe(candidate);
+  }
+
+  // The shards the candidate's route links already belong to; the probe
+  // world is exactly their union + the candidate.
+  std::vector<std::uint32_t> touched;
+  if (!sharded_ && !shards_.empty()) {
+    touched.push_back(0);
+  } else {
+    for (const net::LinkRef l : candidate.route().links()) {
+      const auto it = link_shard_.find(l);
+      if (it != link_shard_.end()) touched.push_back(it->second);
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   }
 
   // Assemble the residents-only base in the canonical global-id order (see
   // merge_order): the Gauss-Seidel sweep order inside the probed component
   // — and every per-link flow list, floating-point aggregate and envelope
   // merge — matches the one-context engine exactly.
-  if (touched.size() == 1) {
-    // Single touched domain (the common case): one context copy — paid
-    // once per (scratch, shard state), amortized over every probe hit.
-    const ShardView& s = shards_[touched.front()];
-    e.base = *s.ctx;
-    e.srcs.reserve(s.to_global.size());
-    for (std::uint32_t l = 0; l < s.to_global.size(); ++l) {
-      e.srcs.push_back(MergeEnt{s.to_global[l], 0, l});
-    }
-  } else {
-    e.srcs = merge_order(
-        touched,
-        [this](std::uint32_t part) -> const std::vector<net::FlowId>& {
-          return shards_[part].to_global;
-        });
-    // Re-key each entry to its position among the touched parts — the
-    // index into the pinned ctxs/results, stable across republishes.
-    for (MergeEnt& m : e.srcs) {
-      m.shard = static_cast<std::uint32_t>(
-          std::lower_bound(touched.begin(), touched.end(), m.shard) -
-          touched.begin());
-    }
+  const std::vector<MergeEnt> srcs = merge_order(
+      touched, [this](std::uint32_t part) -> const std::vector<net::FlowId>& {
+        return shards_[part].to_global;
+      });
+  const auto assemble = [&]() -> core::AnalysisContext {
+    // Single touched domain (the common case): one context copy.
+    if (touched.size() == 1) return *shards_[touched.front()].ctx;
     core::AnalysisContext base =
         core::AnalysisContext::empty_clone(*empty_ctx_);
     // Bulk adoption: register every flow, then recompute each link's
     // aggregates once — O(flows) aggregate work instead of the per-adopt
     // quadratic, bit-identical (the recompute sums from scratch in flow-id
     // order, exactly like add_flows).
-    for (const MergeEnt& m : e.srcs) {
-      base.adopt_flow_deferred(*e.ctxs[m.shard],
+    for (const MergeEnt& m : srcs) {
+      base.adopt_flow_deferred(*shards_[m.shard].ctx,
                                net::FlowId(static_cast<std::int32_t>(m.local)));
     }
     base.recompute_all_aggregates();
-    e.base = std::move(base);
-  }
-
-  // Converged warm start over the base: every resident sits at its shard's
-  // published fixed point.
-  for (std::size_t pos = 0; pos < e.srcs.size(); ++pos) {
-    const MergeEnt& m = e.srcs[pos];
-    e.base_start.adopt_flow(e.results[m.shard]->jitters,
-                            net::FlowId(static_cast<std::int32_t>(m.local)),
-                            net::FlowId(static_cast<std::int32_t>(pos)));
-  }
-
-  if (scratch.entries_.size() >= ProbeScratch::kMaxEntries) {
-    // Evict the least recently used base (and the shard state it pins) —
-    // bounds scratch memory across republishes and engine swaps.
-    auto victim = scratch.entries_.begin();
-    for (auto it = scratch.entries_.begin(); it != scratch.entries_.end();
-         ++it) {
-      if (it->stamp < victim->stamp) victim = it;
-    }
-    scratch.entries_.erase(victim);
-  }
-  scratch.entries_.push_back(std::move(e));
-  return scratch.entries_.back();
-}
-
-// ---------------------------------------------------------------- probes --
-
-EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
-                                                ProbeScratch& scratch,
-                                                bool retain_ctx) const {
-  // Surface malformed candidates before any assembly work.
-  candidate.validate(network());
-
-  Probe p;
+    return base;
+  };
+  Probe p(assemble());
   p.rs.ran = true;
+  p.touched = std::move(touched);
 
-  bool base_converged = true;
-  for (const ShardView& s : shards_) {
-    if (!s.result || !s.result->converged) {
-      base_converged = false;
-      break;
-    }
+  // Warm start: every resident sits at its shard's converged fixed point;
+  // only the candidate (and transitively its component) is dirty.
+  core::JitterMap start;
+  p.to_global.reserve(srcs.size() + 1);
+  for (std::size_t pos = 0; pos < srcs.size(); ++pos) {
+    const MergeEnt& m = srcs[pos];
+    start.adopt_flow(shards_[m.shard].result->jitters,
+                     net::FlowId(static_cast<std::int32_t>(m.local)),
+                     net::FlowId(static_cast<std::int32_t>(pos)));
+    p.to_global.push_back(m.global);
   }
-  if (!base_converged) {
-    // Some component never converged: there is no fixed point to warm-start
-    // from, so run the whole set + candidate cold, in global order —
-    // bit-identical to the from-scratch analysis.
-    p.base_converged = false;
-    p.rs.full = true;
-    core::AnalysisContext full =
-        core::AnalysisContext::empty_clone(*empty_ctx_);
-    for (std::size_t g = 0; g < locs_.size(); ++g) {
-      const FlowLoc& loc = locs_[g];
-      full.adopt_flow_deferred(*shards_[loc.shard].ctx,
-                               net::FlowId(static_cast<std::int32_t>(loc.local)));
-      p.to_global.push_back(net::FlowId(static_cast<std::int32_t>(g)));
-    }
-    full.recompute_all_aggregates();
-    full.add_flow(candidate);
-    p.to_global.push_back(net::FlowId(static_cast<std::int32_t>(locs_.size())));
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      p.touched.push_back(static_cast<std::uint32_t>(s));
-    }
-    p.local = core::solve_holistic(full, core::SolveRequest{}, opts_);
-    p.rs.sweeps = static_cast<std::size_t>(p.local.sweeps);
-    p.dirty.assign(full.flow_count(), true);
-    p.ctx = std::move(full);
-    return p;
-  }
+  const std::size_t residents = p.ctx.flow_count();
+  const net::FlowId cand_local = p.ctx.add_flow(candidate);
+  p.to_global.push_back(net::FlowId(static_cast<std::int32_t>(locs_.size())));
+  seed_source_jitters(p.ctx, cand_local, start);
 
-  // The shards the candidate's route links already belong to; the probe
-  // world is exactly their union + the candidate.
-  if (!sharded_ && !shards_.empty()) {
-    p.touched.push_back(0);
-  } else {
-    for (const net::LinkRef l : candidate.route().links()) {
-      const auto it = link_shard_.find(l);
-      if (it != link_shard_.end()) p.touched.push_back(it->second);
-    }
-    std::sort(p.touched.begin(), p.touched.end());
-    p.touched.erase(std::unique(p.touched.begin(), p.touched.end()),
-                    p.touched.end());
-  }
+  p.dirty = dirty_closure(p.ctx, std::vector<bool>(p.ctx.flow_count(), false),
+                          {}, residents);
 
-  ProbeScratch::Entry* entry = find_entry(scratch, p.touched);
-  if (entry == nullptr) entry = &build_entry(scratch, p.touched);
-  entry->stamp = ++scratch.clock_;
-
-  // Current global ids of the base's flows.  The entry pins the touched
-  // shards' states, and global-id shifts while a shard is unchanged are
-  // order-preserving (removals elsewhere shift uniformly down, additions
-  // append larger ids), so the merge order cached at build time is still
-  // canonical.  Guard it anyway: a non-ascending sequence rebuilds the
-  // entry against the live snapshot.
-  const auto fill_to_global = [&](const ProbeScratch::Entry& en) {
-    p.to_global.clear();
-    p.to_global.reserve(en.srcs.size() + 1);
-    for (const MergeEnt& m : en.srcs) {
-      p.to_global.push_back(shards_[p.touched[m.shard]].to_global[m.local]);
-    }
-  };
-  const auto strictly_ascending = [](const std::vector<net::FlowId>& v) {
-    for (std::size_t i = 1; i < v.size(); ++i) {
-      if (v[i - 1].v >= v[i].v) return false;
-    }
-    return true;
-  };
-  fill_to_global(*entry);
-  if (!strictly_ascending(p.to_global)) {
-    scratch.entries_.erase(scratch.entries_.begin() +
-                           (entry - scratch.entries_.data()));
-    entry = &build_entry(scratch, p.touched);
-    entry->stamp = ++scratch.clock_;
-    fill_to_global(*entry);
-  }
-
-  // The probe mutates the cached base in place: add the candidate, solve
-  // the dirty component, then restore the residents-only world (or hand the
-  // candidate-bearing context to the commit path).  Any failure mid-probe
-  // drops the entry — a half-mutated base must never be reused.
-  const std::size_t entry_idx =
-      static_cast<std::size_t>(entry - scratch.entries_.data());
-  core::AnalysisContext& ctx = *entry->base;
-  try {
-    const std::size_t residents = ctx.flow_count();
-    const net::FlowId cand_local = ctx.add_flow(candidate);
-    p.to_global.push_back(
-        net::FlowId(static_cast<std::int32_t>(locs_.size())));
-
-    // Warm start: every resident sits at its converged fixed point; only
-    // the candidate (and transitively its component) is dirty.  Copying the
-    // cached map costs one shared pointer per resident.
-    core::JitterMap start = entry->base_start;
-    seed_source_jitters(ctx, cand_local, start);
-
-    p.dirty = dirty_closure(ctx, std::vector<bool>(ctx.flow_count(), false),
-                            {}, residents);
-
-    core::IncrementalStats is;
-    core::SolveRequest req;
-    req.dirty = &p.dirty;
-    req.start = core::WarmStartView(start);
-    p.local = core::solve_holistic(ctx, req, opts_, &is);
-    p.rs.flow_analyses = is.flow_analyses;
-    p.rs.sweeps = is.sweeps;
-    for (std::size_t pos = 0; pos < residents; ++pos) {
-      if (!p.dirty[pos]) ++p.rs.flow_results_reused;
-    }
-
-    if (retain_ctx) {
-      // The commit path installs the probe as a merged shard, so its local
-      // result must be complete: adopt the clean residents' converged
-      // FlowResults verbatim and finalize the verdict.
-      for (std::size_t pos = 0; pos < entry->srcs.size(); ++pos) {
-        if (p.dirty[pos]) continue;
-        const MergeEnt& m = entry->srcs[pos];
-        p.local.flows[pos] = entry->results[m.shard]->flows[m.local];
-      }
-      finalize_schedulable(p.local);
-    } else {
-      // Restore the base to the residents-only world for the next probe:
-      // removing the (last-id) candidate erases its derived entry, drops it
-      // from its route links (erasing links it alone introduced) and
-      // recomputes exactly the touched aggregates from scratch —
-      // bit-identical to the pre-add state.
-      ctx.remove_flow(static_cast<std::size_t>(cand_local.v));
-    }
-  } catch (...) {
-    scratch.entries_.erase(scratch.entries_.begin() +
-                           static_cast<std::ptrdiff_t>(entry_idx));
-    throw;
-  }
-  if (retain_ctx) {
-    p.ctx = std::move(*entry->base);
-    scratch.entries_.erase(scratch.entries_.begin() +
-                           static_cast<std::ptrdiff_t>(entry_idx));
+  core::IncrementalStats is;
+  core::SolveRequest req;
+  req.dirty = &p.dirty;
+  req.start = core::WarmStartView(start);
+  p.local = core::solve_holistic(p.ctx, req, opts_, &is);
+  p.rs.flow_analyses = is.flow_analyses;
+  p.rs.sweeps = is.sweeps;
+  for (std::size_t pos = 0; pos < residents; ++pos) {
+    if (!p.dirty[pos]) ++p.rs.flow_results_reused;
   }
   return p;
+}
+
+void EngineSnapshot::complete_local(Probe& p) const {
+  for (std::size_t f = 0; f < p.to_global.size(); ++f) {
+    if (p.dirty[f]) continue;
+    const FlowLoc& loc = locs_[static_cast<std::size_t>(p.to_global[f].v)];
+    p.local.flows[f] = shards_[loc.shard].result->flows[loc.local];
+  }
+  finalize_schedulable(p.local);
 }
 
 bool EngineSnapshot::probe_admissible(const Probe& p) const {
@@ -417,15 +290,12 @@ WhatIfResult EngineSnapshot::finish_probe(Probe&& p) const {
 }
 
 WhatIfResult EngineSnapshot::what_if(const gmf::Flow& candidate) const {
-  // One-shot probe: a throwaway scratch keeps the semantics; callers on hot
-  // paths should hold a per-thread ProbeScratch and use the overload below.
-  ProbeScratch scratch;
-  return what_if(candidate, scratch);
+  return finish_probe(run_probe(candidate));
 }
 
 WhatIfResult EngineSnapshot::what_if(const gmf::Flow& candidate,
-                                     ProbeScratch& scratch) const {
-  return finish_probe(run_probe(candidate, scratch, /*retain_ctx=*/false));
+                                     ProbeScratch& /*scratch*/) const {
+  return what_if(candidate);
 }
 
 }  // namespace gmfnet::engine

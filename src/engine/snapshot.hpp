@@ -13,26 +13,19 @@
 // last publication, never a half-applied mutation.
 //
 // A probe touches only the shards the candidate's route links belong to:
-// it assembles a probe context from those shards (adopting their immutable
-// derived state, O(touched) not O(residents)), warm-starts from their
-// converged jitters, and solves just the candidate's dirty component.
-// Results are bit-identical to a from-scratch whole-set analysis
-// (tests/test_engine_shard.cpp).
-//
-// Probe cost amortization: a ProbeScratch keeps the assembled probe base
-// (context + warm-start map) alive between probes, keyed on the pinned
-// identity of the touched shards' committed state.  A scratch hit turns a
-// probe's setup into one add_flow/remove_flow pair on the cached base —
-// the per-probe O(touched flows) context copy and jitter adoption are paid
-// once per (reader, shard-state) instead of once per probe.  One scratch
-// per reader thread, never shared (see ProbeScratch).
+// it assembles a fresh probe context from those shards (one context copy
+// for a single touched domain, a bulk merge in canonical order for
+// several), warm-starts from their converged jitters, and solves just the
+// candidate's dirty component.  The context is dropped when the probe
+// returns, or handed to the engine's commit path when the probe is an
+// admission; nothing is cached between probes.  Results are bit-identical
+// to a from-scratch whole-set analysis (tests/test_engine_shard.cpp).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/context.hpp"
@@ -46,104 +39,9 @@ namespace gmfnet::engine {
 class AnalysisEngine;
 class EngineSnapshot;
 
-/// Reusable per-reader probe workspace: caches assembled probe bases
-/// (context + converged warm-start map) keyed on the pinned identity of
-/// the touched shards' committed state, so repeated probes against the
-/// same world skip the per-probe context assembly entirely.
-///
-/// Contract: one scratch per thread, NEVER shared between concurrent
-/// probes — the scratch is mutated in place (the cached base temporarily
-/// holds the candidate mid-probe).  A scratch may be reused freely across
-/// candidates, snapshots and even engines: entries are validated against
-/// the probed snapshot's shard-state pointers (held alive by the entry, so
-/// pointer identity is ABA-safe) and rebuilt on mismatch.  Results are
-/// bit-identical with and without scratch reuse
-/// (tests/test_probe_scratch.cpp).
-class ProbeScratch {
- public:
-  ProbeScratch() = default;
-  ProbeScratch(ProbeScratch&&) noexcept = default;
-  ProbeScratch& operator=(ProbeScratch&&) noexcept = default;
-  ProbeScratch(const ProbeScratch&) = delete;
-  ProbeScratch& operator=(const ProbeScratch&) = delete;
-
-  /// Drops every cached base (and the shard state it pins).
-  void clear() { entries_.clear(); }
-
- private:
-  friend class EngineSnapshot;
-
-  /// One cached probe base: the residents-only context and warm-start map
-  /// assembled from a specific set of committed shard states.  The pinned
-  /// ctx/result pointers are both the cache key and the lifetime guard —
-  /// while the entry holds them, their addresses cannot be reused, so raw
-  /// pointer equality against a snapshot's shards is a sound identity test.
-  struct Entry {
-    std::vector<std::shared_ptr<const core::AnalysisContext>> ctxs;
-    std::vector<std::shared_ptr<const core::HolisticResult>> results;
-    /// Residents of the touched shards in canonical merge order (optional
-    /// only for default-constructibility; always engaged once cached).
-    std::optional<core::AnalysisContext> base;
-    /// Converged warm start over `base` (never mutated; copied per probe).
-    core::JitterMap base_start;
-    /// Merge order; `shard` indexes ctxs/results, not snapshot shards.
-    std::vector<MergeEnt> srcs;
-    std::uint64_t stamp = 0;  ///< LRU clock value of the last use
-  };
-
-  static constexpr std::size_t kMaxEntries = 8;
-
-  std::vector<Entry> entries_;
-  std::uint64_t clock_ = 0;
-};
-
-/// A mutex-guarded free list of ProbeScratch objects for callers whose
-/// probing threads are not long-lived (e.g. one RPC connection thread per
-/// client): acquire() hands out a warm scratch (or a fresh one when none
-/// is free) and the RAII Lease returns it on destruction.
-class ProbeScratchPool {
- public:
-  class Lease {
-   public:
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), scratch_(std::move(other.scratch_)) {
-      other.pool_ = nullptr;
-    }
-    Lease& operator=(Lease&&) = delete;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() {
-      if (pool_ != nullptr) pool_->release(std::move(scratch_));
-    }
-
-    [[nodiscard]] ProbeScratch& get() const { return *scratch_; }
-
-   private:
-    friend class ProbeScratchPool;
-    Lease(ProbeScratchPool* pool, std::unique_ptr<ProbeScratch> scratch)
-        : pool_(pool), scratch_(std::move(scratch)) {}
-
-    ProbeScratchPool* pool_;
-    std::unique_ptr<ProbeScratch> scratch_;
-  };
-
-  [[nodiscard]] Lease acquire() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (free_.empty()) return Lease(this, std::make_unique<ProbeScratch>());
-    std::unique_ptr<ProbeScratch> s = std::move(free_.back());
-    free_.pop_back();
-    return Lease(this, std::move(s));
-  }
-
- private:
-  void release(std::unique_ptr<ProbeScratch> s) {
-    std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(s));
-  }
-
-  std::mutex mu_;
-  std::vector<std::unique_ptr<ProbeScratch>> free_;
-};
+/// Empty compatibility type for the two-argument what_if overload; gmfbench
+/// is its only caller.
+class ProbeScratch {};
 
 /// Outcome of one non-committing what-if admission probe.
 ///
@@ -273,10 +171,7 @@ class EngineSnapshot {
   /// on malformed candidates.
   [[nodiscard]] WhatIfResult what_if(const gmf::Flow& candidate) const;
 
-  /// what_if reusing the caller's per-thread `scratch` — the hot path for
-  /// readers issuing many probes (see ProbeScratch for the contract).
-  /// Identical results, one candidate add/remove instead of a full probe
-  /// assembly on scratch hits.
+  /// Forwards to what_if(candidate); gmfbench is its only caller.
   [[nodiscard]] WhatIfResult what_if(const gmf::Flow& candidate,
                                      ProbeScratch& scratch) const;
 
@@ -295,13 +190,13 @@ class EngineSnapshot {
   /// Everything a probe computed, in probe-local flow ids — enough for the
   /// engine to commit the probe as a merged shard without re-solving.
   struct Probe {
-    /// Touched shards' flows (global-id order) + candidate last.  Engaged
-    /// only on the cold path or when run_probe ran with retain_ctx (the
-    /// commit path); plain what-ifs leave the context in the scratch.
-    std::optional<core::AnalysisContext> ctx;
-    /// The probe's solve.  Complete (clean flows adopted) only when ctx is
-    /// engaged; otherwise clean entries stay default-constructed — the
-    /// schedulable verdict already accounts for them.
+    explicit Probe(core::AnalysisContext c) : ctx(std::move(c)) {}
+
+    /// Touched shards' flows (global-id order) + candidate last.
+    core::AnalysisContext ctx;
+    /// The probe's solve.  Dirty flows hold fresh results; clean entries
+    /// stay default-constructed until complete_local fills them in — the
+    /// schedulable verdict reads clean flows from their shards instead.
     core::HolisticResult local;
     /// Probe-local id -> global id (candidate maps to flow_count()).
     std::vector<net::FlowId> to_global;
@@ -315,28 +210,22 @@ class EngineSnapshot {
     RunStats rs;
   };
 
-  /// Runs the probe against `scratch` (building/reusing a cached base).
-  /// With `retain_ctx`, the candidate-bearing context and the complete
-  /// local result are moved into the returned Probe (evicting the scratch
-  /// entry) — required by the commit path; without it, the scratch base is
-  /// restored to the residents-only world for the next probe.
-  [[nodiscard]] Probe run_probe(const gmf::Flow& candidate,
-                                ProbeScratch& scratch, bool retain_ctx) const;
+  /// Runs the probe: assembles the touched shards' residents + the
+  /// candidate into a fresh context and solves the candidate's dirty
+  /// component, warm-started from the shards' converged fixed points.
+  [[nodiscard]] Probe run_probe(const gmf::Flow& candidate) const;
+  /// Cold whole-set + candidate run in global order, for snapshots with a
+  /// diverged shard (no fixed point to warm-start from).
+  [[nodiscard]] Probe run_cold_probe(const gmf::Flow& candidate) const;
   /// The admission verdict of a finished probe (converged, every untouched
   /// shard schedulable, probed component schedulable).
   [[nodiscard]] bool probe_admissible(const Probe& p) const;
+  /// Fills the clean flows of `p.local` with their shards' committed
+  /// results and finalizes its verdict — the commit path installs the probe
+  /// as a shard, so its result must be complete.
+  void complete_local(Probe& p) const;
   /// Wraps a finished probe into the copy-free WhatIfResult.
   [[nodiscard]] WhatIfResult finish_probe(Probe&& probe) const;
-
-  /// Scratch entry lookup/build for a probe over `touched` (ascending
-  /// snapshot shard indices).  find_entry returns null on miss;
-  /// build_entry assembles the base (bulk adoption in canonical merge
-  /// order) and inserts it, evicting the least-recently-used entry when
-  /// the scratch is full.
-  [[nodiscard]] ProbeScratch::Entry* find_entry(
-      ProbeScratch& scratch, const std::vector<std::uint32_t>& touched) const;
-  ProbeScratch::Entry& build_entry(
-      ProbeScratch& scratch, const std::vector<std::uint32_t>& touched) const;
 
   /// Template context sharing the network + CIRC table (cheap empty clone).
   std::shared_ptr<const core::AnalysisContext> empty_ctx_;

@@ -76,9 +76,8 @@ bool coalescable(const Request& req) {
 /// drop even that.
 engine::WhatIfResult probe_for_wire(const engine::EngineSnapshot& snap,
                                     const gmf::Flow& candidate,
-                                    engine::ProbeScratch& scratch,
                                     bool verdict_only) {
-  engine::WhatIfResult wi = snap.what_if(candidate, scratch);
+  engine::WhatIfResult wi = snap.what_if(candidate);
   if (!verdict_only) return wi;
   return engine::WhatIfResult::verdict_only(wi.admissible, wi.converged(),
                                             wi.sweeps(), wi.flow_count());
@@ -553,12 +552,10 @@ void Server::dispatch_what_if(std::uint64_t conn_id, std::uint64_t seq,
     try {
       const std::shared_ptr<const engine::EngineSnapshot> snap =
           engine()->published();
-      const engine::ProbeScratchPool::Lease lease = conn_scratch_.acquire();
       WhatIfBatchResponse out;
       out.results.reserve(req.candidates.size());
       for (const gmf::Flow& cand : req.candidates) {
-        out.results.push_back(
-            probe_for_wire(*snap, cand, lease.get(), req.verdict_only));
+        out.results.push_back(probe_for_wire(*snap, cand, req.verdict_only));
       }
       resp = std::move(out);
     } catch (const std::exception& e) {
@@ -603,10 +600,9 @@ void Server::dispatch_what_if(std::uint64_t conn_id, std::uint64_t seq,
     const std::size_t end = begin + len;
     readers_.submit([this, job, begin, end] {
       try {
-        const engine::ProbeScratchPool::Lease lease = conn_scratch_.acquire();
         for (std::size_t i = begin; i < end; ++i) {
           job->results[i] = probe_for_wire(*job->snap, job->candidates[i],
-                                           lease.get(), job->verdict_only);
+                                           job->verdict_only);
         }
       } catch (const std::exception& e) {
         std::lock_guard<std::mutex> lock(job->err_mu);

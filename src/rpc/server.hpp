@@ -420,8 +420,6 @@ class Server {
   int wake_fd_ = -1;       ///< eventfd: workers → reactor
 
   ThreadPool readers_;  ///< fans WHAT_IF_BATCH candidates
-  /// Warm per-probe scratches for reader tasks (internally synchronized).
-  engine::ProbeScratchPool conn_scratch_;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> drain_{false};

@@ -6,21 +6,13 @@
 
 namespace gmfnet {
 
-namespace {
-/// Slot of the pool worker running on this thread (meaningless outside a
-/// worker).  A thread belongs to at most one pool, so one thread-local
-/// suffices; parallel_for_slotted reads it to hand each body call its
-/// executing worker's slot.
-thread_local std::size_t t_pool_slot = 0;
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -47,8 +39,7 @@ void ThreadPool::wait_idle() {
   cv_idle_.wait(lk, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::worker_loop(std::size_t slot) {
-  t_pool_slot = slot;
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
@@ -77,12 +68,6 @@ bool ThreadPool::called_from_worker() const {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
-  parallel_for_slotted(n,
-                       [&body](std::size_t, std::size_t i) { body(i); });
-}
-
-void ThreadPool::parallel_for_slotted(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
   if (called_from_worker()) {
     throw std::logic_error(
         "ThreadPool::parallel_for: nested call from a worker of the same "
@@ -92,11 +77,11 @@ void ThreadPool::parallel_for_slotted(
   if (n == 0) return;
   const std::size_t nthreads = std::max<std::size_t>(1, size());
   if (nthreads <= 1) {
-    // A one-worker pool adds no parallelism: run inline on the caller (its
-    // slot is size()) and skip the queue/condvar round trip entirely.  An
+    // A one-worker pool adds no parallelism: run inline on the caller and
+    // skip the queue/condvar round trip entirely.  An
     // exception propagates directly, matching the pooled path's
     // first-exception-cancels semantics.
-    for (std::size_t i = 0; i < n; ++i) body(size(), i);
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
   const std::size_t chunk = (n + nthreads - 1) / nthreads;
@@ -114,7 +99,7 @@ void ThreadPool::parallel_for_slotted(
         for (std::size_t i = begin; i < end; ++i) {
           if (cancelled.load(std::memory_order_relaxed)) return;
           try {
-            body(t_pool_slot, i);
+            body(i);
           } catch (...) {
             cancelled.store(true, std::memory_order_relaxed);
             const std::lock_guard lk(error_mu);

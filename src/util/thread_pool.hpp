@@ -46,20 +46,8 @@ class ThreadPool {
   /// std::terminate'ing a worker.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// parallel_for whose body also receives the executing thread's *slot*:
-  /// body(slot, i).  Each pool worker owns one fixed slot in [0, size());
-  /// slot size() is the calling thread itself (the single-worker fast path
-  /// runs the whole loop inline on the caller, skipping the queue round
-  /// trip).  No two concurrent body calls of one invocation share a slot,
-  /// so callers may key per-thread scratch state by slot with size() + 1
-  /// entries and no further synchronization.  Same serialization, nesting
-  /// and exception contract as parallel_for.
-  void parallel_for_slotted(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t)>& body);
-
  private:
-  void worker_loop(std::size_t slot);
+  void worker_loop();
   [[nodiscard]] bool called_from_worker() const;
 
   std::vector<std::thread> workers_;

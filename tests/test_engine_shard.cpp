@@ -17,7 +17,12 @@
 //    published snapshots while the writer admits/removes always observe a
 //    committed world — every probe bit-matches a from-scratch run over the
 //    snapshot's own flow list (the same equivalence harness, applied to
-//    whatever world the reader happened to catch).
+//    whatever world the reader happened to catch), or a second probe on
+//    the same snapshot.
+//
+//  * Lean results: WhatIfResult's cheap accessors (converged, sweeps,
+//    flow_count, flow_result, worst_response) agree with the lazily
+//    materialized full result().
 //
 //  * EngineStats: evaluations == full_runs + incremental_runs always (every
 //    solver run is exactly one of the two), counters survive concurrent
@@ -214,6 +219,36 @@ Campus make_campus(int cells, int hosts_per_cell) {
   return c;
 }
 
+/// A VoIP flow between hosts `a` and `b` of one campus cell.
+gmf::Flow voip(const Campus& campus, int cell, std::size_t a, std::size_t b,
+               const std::string& name) {
+  const std::size_t per_cell = campus.hosts.size() / campus.switches.size();
+  const std::size_t base = static_cast<std::size_t>(cell) * per_cell;
+  return workload::make_voip_flow(
+      name,
+      net::Route({campus.hosts[base + a],
+                  campus.switches[static_cast<std::size_t>(cell)],
+                  campus.hosts[base + b]}));
+}
+
+/// Snapshot probes vs cold truth: each candidate's full result must match
+/// a from-scratch run over the snapshot's flows + the candidate, and its
+/// verdict must be that result's schedulability.
+void expect_snapshot_probes_match_cold(const EngineSnapshot& snap,
+                                       const net::Network& net,
+                                       const std::vector<gmf::Flow>& cands,
+                                       const std::string& where) {
+  const std::vector<gmf::Flow> residents = snap.flows();
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const WhatIfResult probe = snap.what_if(cands[i]);
+    std::vector<gmf::Flow> with = residents;
+    with.push_back(cands[i]);
+    expect_bit_identical(probe.result(), from_scratch(net, with),
+                         where + " candidate " + std::to_string(i));
+    EXPECT_EQ(probe.admissible, probe.result().schedulable) << where;
+  }
+}
+
 class EngineShardEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -274,21 +309,68 @@ TEST_P(EngineShardEquivalence, RandomMultiDomainScenarios) {
   // Snapshot probes: lock-free reader path vs cold truth, full result.
   const auto snap = eng.snapshot();
   ASSERT_EQ(snap->flow_count(), mirror.size());
-  std::vector<gmf::Flow> cands = {ts->flows.back(), ts->flows[0]};
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    const WhatIfResult probe = snap->what_if(cands[i]);
-    std::vector<gmf::Flow> with = mirror;
-    with.push_back(cands[i]);
-    expect_bit_identical(probe.result(), from_scratch(campus.net, with),
-                         "seed " + std::to_string(seed) +
-                             " snapshot candidate " + std::to_string(i));
-    EXPECT_EQ(probe.admissible, probe.result().schedulable);
-  }
+  expect_snapshot_probes_match_cold(*snap, campus.net,
+                                    {ts->flows.back(), ts->flows[0]},
+                                    "seed " + std::to_string(seed) +
+                                        " snapshot");
   EXPECT_EQ(eng.flow_count(), mirror.size());  // probes committed nothing
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, EngineShardEquivalence,
                          ::testing::Range<std::uint64_t>(0, 40));
+
+TEST(EngineShard, SoloBridgeSpanProbesMatchColdTruth) {
+  // 2 cells x 6 hosts; three disjoint resident pairs per cell -> 6 shards.
+  const Campus campus = make_campus(2, 6);
+  AnalysisEngine eng(campus.net);
+  for (int cell = 0; cell < 2; ++cell) {
+    for (std::size_t p = 0; p < 3; ++p) {
+      eng.add_flow(voip(campus, cell, 2 * p, 2 * p + 1,
+                        "r" + std::to_string(cell) + std::to_string(p)));
+    }
+  }
+  const auto snap = eng.snapshot();
+  ASSERT_EQ(snap->shard_count(), 6u);
+
+  // Per cell: a candidate inside one shard (same host pair as a resident),
+  // one bridging two shards, and one spanning the cell's first and last
+  // shards; then every adjacent-pair bridge.
+  std::vector<gmf::Flow> cands;
+  for (int cell = 0; cell < 2; ++cell) {
+    cands.push_back(voip(campus, cell, 0, 1, "solo"));
+    cands.push_back(voip(campus, cell, 1, 2, "bridge"));
+    cands.push_back(voip(campus, cell, 0, 5, "span"));
+    for (std::size_t a = 0; a + 1 < 6; ++a) {
+      cands.push_back(voip(campus, cell, a, a + 1, "pair"));
+    }
+  }
+  expect_snapshot_probes_match_cold(*snap, campus.net, cands, "campus");
+  EXPECT_EQ(eng.flow_count(), 6u);  // probes committed nothing
+}
+
+TEST(EngineShard, CheapAccessorsMatchMaterializedResult) {
+  const Campus campus = make_campus(2, 6);
+  AnalysisEngine eng(campus.net);
+  for (int cell = 0; cell < 2; ++cell) {
+    eng.add_flow(voip(campus, cell, 0, 1, "r" + std::to_string(cell)));
+  }
+  const auto snap = eng.snapshot();
+
+  const WhatIfResult w = snap->what_if(voip(campus, 0, 2, 3, "cand"));
+  const core::HolisticResult& full = w.result();
+  EXPECT_EQ(w.converged(), full.converged);
+  EXPECT_EQ(w.sweeps(), full.sweeps);
+  EXPECT_EQ(w.admissible, full.schedulable);
+  ASSERT_EQ(w.flow_count(), full.flows.size());
+  for (std::size_t f = 0; f < full.flows.size(); ++f) {
+    const core::FlowId id(static_cast<std::int32_t>(f));
+    // Both dirty (candidate component) and clean (shared published) flows.
+    EXPECT_EQ(w.worst_response(id), full.worst_response(id)) << "flow " << f;
+    EXPECT_EQ(w.flow_result(id).worst_response(),
+              full.flows[f].worst_response())
+        << "flow " << f;
+  }
+}
 
 TEST(EngineShard, SnapshotStressReadersVsWriter) {
   // Writer thread admits/removes while reader threads probe whatever
@@ -365,6 +447,87 @@ TEST(EngineShard, SnapshotStressReadersVsWriter) {
 
   EXPECT_EQ(probes_bad.load(), 0);
   EXPECT_GT(probes_ok.load(), 0);
+}
+
+TEST(EngineShard, ConcurrentReadersProbeUnderWriterChurn) {
+  // Each reader issues hundreds of probes while the writer admits/removes
+  // and republishes.  Every probe is checked against a second probe on the
+  // same snapshot; every fourth one also against a cold from-scratch solve
+  // of the snapshot's own flow list.  Run under TSan in CI.
+  const Campus campus = make_campus(3, 6);
+  const auto flow_for = [&](int n, const std::string& prefix) {
+    const int cell = n % 3;
+    const std::size_t a = static_cast<std::size_t>(n % 5);
+    return voip(campus, cell, a, a + 1, prefix + std::to_string(n));
+  };
+
+  AnalysisEngine eng(campus.net);
+  for (int n = 0; n < 6; ++n) eng.add_flow(flow_for(n, "seed"));
+  (void)eng.evaluate();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> probes_ok{0};
+  std::atomic<int> probes_bad{0};
+
+  constexpr int kReaders = 4;
+  constexpr int kMinProbesPerReader = 150;
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      int i = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto snap = eng.published();
+        const gmf::Flow cand = flow_for(100 + (r * 7 + i) % 13, "probe");
+        const WhatIfResult w = snap->what_if(cand);
+        bool ok = true;
+        if (i % 4 == 0) {
+          // Cold truth for the very flow set this snapshot holds.
+          std::vector<gmf::Flow> with = snap->flows();
+          with.push_back(cand);
+          const core::HolisticResult cold = from_scratch(campus.net, with);
+          ok = w.converged() == cold.converged &&
+               w.admissible == cold.schedulable &&
+               w.flow_count() == cold.flows.size() &&
+               (!cold.converged || w.result().jitters == cold.jitters);
+        } else {
+          const WhatIfResult ref = snap->what_if(cand);
+          ok = w.admissible == ref.admissible &&
+               w.converged() == ref.converged() &&
+               w.flow_count() == ref.flow_count() &&
+               (!w.converged() ||
+                w.result().jitters == ref.result().jitters);
+        }
+        (ok ? probes_ok : probes_bad).fetch_add(1,
+                                                std::memory_order_relaxed);
+        ++i;
+      }
+    });
+  }
+
+  // Writer: churn admissions/removals across the domains, republishing
+  // after each, then keep the readers alive until each has landed enough
+  // probes to have seen many republishes.
+  for (int round = 0; round < 30; ++round) {
+    if (round % 3 == 2 && eng.flow_count() > 3) {
+      (void)eng.remove_flow(eng.flow_count() - 1);
+      (void)eng.evaluate();
+    } else {
+      (void)eng.try_admit(flow_for(200 + round, "writer"));
+    }
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (probes_ok.load() + probes_bad.load() <
+             kReaders * kMinProbesPerReader &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(probes_bad.load(), 0);
+  EXPECT_GE(probes_ok.load(), kReaders * kMinProbesPerReader);
 }
 
 // One flow overloading its link — 15 kB every 2 ms is 60 Mbit/s on a
