@@ -78,9 +78,9 @@ void ThreadPool::parallel_for(std::size_t n,
   const std::size_t nthreads = std::max<std::size_t>(1, size());
   if (nthreads <= 1) {
     // A one-worker pool adds no parallelism: run inline on the caller and
-    // skip the queue/condvar round trip entirely.  An
-    // exception propagates directly, matching the pooled path's
-    // first-exception-cancels semantics.
+    // skip the queue/condvar round trip entirely.  An exception propagates
+    // directly, matching the pooled path's first-exception-cancels
+    // semantics.
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
